@@ -41,6 +41,12 @@ def _exp(logv: float) -> float:
     return math.exp(logv)
 
 
+def fold_count(p: float) -> int | None:
+    """The integer k with p = 1/k (within GRID_TOL), or None; needs p > 0."""
+    k = round(1.0 / p)
+    return k if abs(1.0 / p - k) <= GRID_TOL else None
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Inputs shared by the probability-bound evaluators.
@@ -138,11 +144,15 @@ def bound_abs_large(q: BoundQuery) -> BoundValue:
     return _assemble(log_b, log_v, "hoeffding", q.clamp)
 
 
-def l1_bound_large(n: int, p: float, vc: int) -> float:
-    """Expected-absolute-deviation bound for the large-test regime."""
+def _l1_large_terms(n: int, p: float, vc: int) -> tuple[float, float]:
     BoundQuery(n=n, p=p, eps=1.0, vc=vc).validate()
     lead = math.log(2.0 * n * (1.0 - p) + 1.0) + 4.0
-    return 10.0 * math.sqrt(vc * lead / (n * (1.0 - p))) + 5.0 * math.sqrt(2.0 / (n * p))
+    return 10.0 * math.sqrt(vc * lead / (n * (1.0 - p))), 5.0 * math.sqrt(2.0 / (n * p))
+
+
+def l1_bound_large(n: int, p: float, vc: int) -> float:
+    """Expected-absolute-deviation bound for the large-test regime."""
+    return sum(_l1_large_terms(n, p, vc))
 
 
 def bound_abs_small(q: BoundQuery) -> BoundValue:
@@ -197,8 +207,8 @@ def bound_kfold_improved(n: int, p: float, eps: float, vc: int) -> float:
     """
     if not (0.0 < p < 0.5):
         raise ValueError("improved k-fold term needs p < 1/2")
-    k = round(1.0 / p)
-    if abs(1.0 / p - k) > GRID_TOL:
+    k = fold_count(p)
+    if k is None:
         raise ValueError("1/p must be an integer")
     if not (eps > 0.0) or vc < 1 or n < 2:
         raise ValueError("need eps > 0, vc >= 1, n >= 2")
@@ -215,8 +225,8 @@ def bound_kfold_combined(q: BoundQuery) -> BoundValue:
     branches are evaluated for every k >= 2.
     """
     q.validate()
-    k = round(1.0 / q.p)
-    if abs(1.0 / q.p - k) > GRID_TOL or k < 2:
+    k = fold_count(q.p)
+    if k is None or k < 2:
         raise ValueError("k-fold bound needs p = 1/k for an integer k >= 2")
     log_b = math.log(5.0) + _log_poly(q.n, q.p, q.vc) - q.n * q.eps**2 / 64.0
     log_v1 = -2.0 * q.n * q.eps**2 / (25.0 * k)
@@ -246,13 +256,17 @@ def bound_holdout(q: BoundQuery) -> BoundValue:
     return _assemble(log_b, log_v, "hoeffding", q.clamp)
 
 
-def l1_bound_chained(n: int, p: float, vc: int, c: float) -> float:
-    """Expected-absolute-deviation bound with a caller-supplied leading
-    constant c on the training side: c sqrt(vc/(n(1-p))) + 2 sqrt(6/(np))."""
+def _l1_chained_terms(n: int, p: float, vc: int, c: float) -> tuple[float, float]:
     BoundQuery(n=n, p=p, eps=1.0, vc=vc).validate()
     if c < 0.0:
         raise ValueError("constant c must be nonnegative")
-    return c * math.sqrt(vc / (n * (1.0 - p))) + 2.0 * math.sqrt(6.0 / (n * p))
+    return c * math.sqrt(vc / (n * (1.0 - p))), 2.0 * math.sqrt(6.0 / (n * p))
+
+
+def l1_bound_chained(n: int, p: float, vc: int, c: float) -> float:
+    """Expected-absolute-deviation bound with a caller-supplied leading
+    constant c on the training side: c sqrt(vc/(n(1-p))) + 2 sqrt(6/(np))."""
+    return sum(_l1_chained_terms(n, p, vc, c))
 
 
 def evaluate_procedure(q: BoundQuery) -> BoundValue:
@@ -274,15 +288,11 @@ def _l1_value(procedure: str, n: int, p: float, vc: int, c: float, clamp: bool) 
         return math.log(x) if x > 0.0 else -math.inf
 
     if procedure == "l1-large":
-        lead = math.log(2.0 * n * (1.0 - p) + 1.0) + 4.0
-        b = 10.0 * math.sqrt(vc * lead / (n * (1.0 - p)))
-        v = 5.0 * math.sqrt(2.0 / (n * p))
+        b, v = _l1_large_terms(n, p, vc)
     elif procedure == "l1-small":
-        b = l1_bound_small(n, p, vc)
-        v = 0.0
+        b, v = l1_bound_small(n, p, vc), 0.0
     elif procedure == "l1-chained":
-        b = c * math.sqrt(vc / (n * (1.0 - p)))
-        v = 2.0 * math.sqrt(6.0 / (n * p))
+        b, v = _l1_chained_terms(n, p, vc, c)
     else:
         raise ValueError(f"unknown procedure {procedure!r}")
     total = b + v
@@ -535,8 +545,8 @@ def log_ratio_v_kfold_over_v_sym(n: int, p: float, eps: float, vc: int) -> float
     """
     if not (0.0 < p < 0.5):
         raise ValueError("improved k-fold term needs p < 1/2")
-    k = round(1.0 / p)
-    if abs(1.0 / p - k) > GRID_TOL:
+    k = fold_count(p)
+    if k is None:
         raise ValueError("1/p must be an integer")
     denom = 64.0 * (math.sqrt(vc * math.log(2.0 * (2.0 * n * p + 1.0))) + 2.0)
     return k * math.log(2.0) - n * eps**2 / denom + 2.0 * n * p * eps**2 / 25.0

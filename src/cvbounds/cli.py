@@ -266,31 +266,19 @@ def _load_config(args, default_plans) -> harness.ExperimentConfig:
     return harness.ExperimentConfig.from_dict(data)
 
 
-def _report_violations(report: harness.ExperimentReport) -> list[str]:
-    problems = []
-    total_lemma = sum(report.lemma_violations)
-    if total_lemma > 0:
-        problems.append(f"{total_lemma} comparison-lemma violations")
-    for row in report.rows:
-        if not math.isnan(row.bound_total) and (
-            row.empirical_tail > row.bound_total + row.slack
-        ):
-            problems.append(
-                f"empirical tail {row.empirical_tail} above bound "
-                f"{row.bound_total} for {row.plan} at eps={row.eps}"
-            )
-    return problems
+def _exit_status(report: harness.ExperimentReport) -> int:
+    problems = report.problems()
+    if problems:
+        sys.stderr.write(f"ERROR 3: {problems[0]}\n")
+        return 3
+    return 0
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, default_plans=[{"kind": "kfold", "k": 5}])
     report = harness.run_experiment(cfg)
     _emit(report.to_json() + "\n" if args.json else report.to_csv(), args.out)
-    problems = _report_violations(report)
-    if problems:
-        sys.stderr.write(f"ERROR 3: {problems[0]}\n")
-        return 3
-    return 0
+    return _exit_status(report)
 
 
 def _compare_default_plans(n: int, k: int) -> list[dict]:
@@ -319,33 +307,20 @@ def _cmd_compare(args) -> int:
             args.k = saved_k
     else:
         cfg = _load_config(args, default_plans=[])
-    table = harness.compare_procedures(cfg)
+    report = harness.run_experiment(cfg)
+    table = harness.comparison_table(report)
     if args.json:
         _emit(json.dumps(table, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        lines = [
-            "plan,p,eps,empirical_tail,slack,bound_total,bound_branch,lemma_violations"
-        ]
-        for r in table["rows"]:
-            lines.append(
-                f"{r['plan']},{r['p']!r},{r['eps']!r},{r['empirical_tail']!r},"
-                f"{r['slack']!r},{r['bound_total']!r},{r['bound_branch']},"
-                f"{r['lemma_violations']}"
-            )
-        lines.append("")
-        lines.append("plan,p,eps,b_sym_over_b_hold,v_kfold_over_v_sym")
+        lines = ["", "plan,p,eps,b_sym_over_b_hold,v_kfold_over_v_sym"]
         for r in table["ratios"]:
             v_ratio = "" if r["v_kfold_over_v_sym"] is None else repr(r["v_kfold_over_v_sym"])
             lines.append(
                 f"{r['plan']},{r['p']!r},{r['eps']!r},"
                 f"{r['b_sym_over_b_hold']!r},{v_ratio}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    violations = sum(r["lemma_violations"] for r in table["rows"])
-    if violations:
-        sys.stderr.write("ERROR 3: comparison-lemma violations in report\n")
-        return 3
-    return 0
+        _emit(report.to_csv() + "\n".join(lines) + "\n", args.out)
+    return _exit_status(report)
 
 
 _VERIFIER_FLAGS = {

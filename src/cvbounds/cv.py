@@ -51,56 +51,62 @@ def _check_compatible(plan: ResamplingPlan, d: Dataset, loss: Loss) -> None:
         raise ValueError(f"plan is for n={plan.n}, dataset has n={d.n}")
     if loss.kind != "zero-one":
         raise ValueError("exact risk minimization is supported for the zero-one loss only")
+    learners.check_zero_one_sample(d.x, d.y)
+
+
+def threshold_atom_counts(plan: ResamplingPlan, xs: np.ndarray, ys: np.ndarray):
+    """Exact threshold ERM on every atom of an equal-test-size plan, for a
+    stack of datasets xs, ys of shape (c, n). Returns the per-atom cuts and
+    integer test-error counts, both of shape (c, num_atoms)."""
+    c, a = xs.shape[0], plan.num_atoms
+    tim, tei = plan.train_index_matrix, plan.test_index_matrix
+    cuts, _ = learners._batch_threshold_erm(
+        xs[:, tim].reshape(c * a, -1), ys[:, tim].reshape(c * a, -1)
+    )
+    cuts = cuts.reshape(c, a)
+    counts = ((xs[:, tei] >= cuts[:, :, None]) != (ys[:, tei] > 0.5)).sum(axis=2)
+    return cuts, counts
 
 
 def _atom_fits_and_counts(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss):
-    """Per-atom ERM fits plus integer test-error counts and test sizes."""
+    """Per-atom ERM fits plus integer test-error counts, in atom order."""
     _check_compatible(plan, d, loss)
     if cls.kind == "threshold" and plan.equal_test_sizes:
-        xs = d.x[plan.train_index_matrix]
-        ys = d.y[plan.train_index_matrix]
-        t, _ = learners._batch_threshold_erm(xs, ys)
-        xt = d.x[plan.test_index_matrix]
-        yt = d.y[plan.test_index_matrix]
-        preds = (xt >= t[:, None]).astype(np.float64)
-        counts = (preds != yt).sum(axis=1).astype(np.int64)
-        sizes = np.full(plan.num_atoms, plan.test_size, dtype=np.int64)
-        fits = [learners.ThresholdPredictor(float(ti)) for ti in t]
-        return fits, counts, sizes
-    fits = []
-    counts = np.empty(plan.num_atoms, dtype=np.int64)
-    sizes = np.empty(plan.num_atoms, dtype=np.int64)
-    for a, (v, _) in enumerate(plan.atoms):
-        phi = learners.erm_fit(cls, v, d, loss)
-        ts_mask = ~np.array(v.bits, dtype=bool)
-        preds = phi.predict(d.x[ts_mask])
-        counts[a] = int((preds != d.y[ts_mask]).sum())
-        sizes[a] = int(ts_mask.sum())
-        fits.append(phi)
-    return fits, counts, sizes
+        cuts, counts = threshold_atom_counts(plan, d.x[None, :], d.y[None, :])
+        return [learners.ThresholdPredictor(float(t)) for t in cuts[0]], counts[0]
+    fits = [learners.erm_fit(cls, v, d, loss) for v, _ in plan.atoms]
+    test = ~plan.train_matrix
+    counts = np.array(
+        [int((phi.predict(d.x[m]) != d.y[m]).sum()) for phi, m in zip(fits, test)],
+        dtype=np.int64,
+    )
+    return fits, counts
+
+
+def _risks(plan: ResamplingPlan, counts: np.ndarray) -> np.ndarray:
+    if plan.equal_test_sizes:
+        return counts / plan.test_size
+    return counts / np.array([v.zeros for v, _ in plan.atoms], dtype=np.int64)
+
+
+def _plan_average(plan: ResamplingPlan, values: np.ndarray) -> float:
+    """Compensated sum in atom order: reproducible whatever the batching."""
+    return math.fsum((plan.probs * values).tolist())
 
 
 def atom_predictors(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss):
     """Per-atom train-mask ERM fits, in atom order."""
-    fits, _, _ = _atom_fits_and_counts(plan, d, cls, loss)
-    return fits
+    return _atom_fits_and_counts(plan, d, cls, loss)[0]
 
 
 def atom_risks(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss) -> np.ndarray:
     """Test-mask risk of the train-mask fit, one entry per atom."""
-    _, counts, sizes = _atom_fits_and_counts(plan, d, cls, loss)
-    return counts / sizes.astype(np.float64)
+    return _risks(plan, _atom_fits_and_counts(plan, d, cls, loss)[1])
 
 
 def cross_validate(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss) -> float:
-    """Plan-weighted average of test risks; exact expectation over atoms.
-
-    Terms are combined with compensated summation in atom order, so the
-    value is reproducible and independent of any internal batching.
-    """
-    risks = atom_risks(plan, d, cls, loss)
-    terms = plan.probs * risks
-    return math.fsum(terms.tolist())
+    """Plan-weighted average of test risks; exact expectation over atoms."""
+    return _plan_average(plan, atom_risks(plan, d, cls, loss))
 
 
 def _full_fit_and_count(d: Dataset, cls: HypothesisClass, loss: Loss):
@@ -116,6 +122,57 @@ def resubstitution(d: Dataset, cls: HypothesisClass, loss: Loss) -> float:
     return errs / d.n
 
 
+def lemma_holds(plan: ResamplingPlan, counts, full_errs) -> np.ndarray:
+    """Exact r_cv >= r_hat_n for c datasets, from per-atom test-error counts
+    (c, num_atoms) and full-sample training errors (c,). Uniform plans with
+    equal test sizes compare integers; other plans lift each atom
+    probability to the exact fraction of its float value."""
+    counts = np.asarray(counts, dtype=np.int64)
+    full_errs = np.asarray(full_errs, dtype=np.int64)
+    if plan.equal_test_sizes and plan.uniform:
+        return plan.n * counts.sum(axis=1) >= plan.num_atoms * plan.test_size * full_errs
+    return np.array([_lemma_fraction(plan, row, int(e)) for row, e in zip(counts, full_errs)])
+
+
+def _lemma_fraction(plan: ResamplingPlan, counts, full_errs: int) -> bool:
+    total = Fraction(0)
+    for (v, prob), cnt in zip(plan.atoms, counts):
+        total += Fraction(prob) * Fraction(int(cnt), v.zeros)
+    return total >= Fraction(full_errs, plan.n)
+
+
+@dataclass(frozen=True)
+class PlanFit:
+    """ERM on the full sample and on every atom of a plan, each fitted once;
+    estimates() and lemma_ok() both reduce these fits."""
+
+    plan: ResamplingPlan
+    d: Dataset
+    loss: Loss
+    phi_full: object
+    full_errs: int
+    fits: list
+    counts: np.ndarray
+
+    def estimates(self, dist: SyntheticDistribution | None = None) -> CvEstimates:
+        r_cv = _plan_average(self.plan, _risks(self.plan, self.counts))
+        r_tilde_n = r_bar = None
+        if dist is not None:
+            r_tilde_n = learners.true_risk(self.phi_full, dist, self.loss)
+            true_risks = [learners.true_risk(phi, dist, self.loss) for phi in self.fits]
+            r_bar = _plan_average(self.plan, np.array(true_risks, dtype=np.float64))
+        return CvEstimates(self.full_errs / self.d.n, r_cv, r_tilde_n, r_bar)
+
+    def lemma_ok(self) -> bool:
+        return bool(lemma_holds(self.plan, self.counts[None, :], [self.full_errs])[0])
+
+
+def fit_plan(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss) -> PlanFit:
+    """Fit the full sample and every atom of the plan once."""
+    fits, counts = _atom_fits_and_counts(plan, d, cls, loss)
+    return PlanFit(plan, d, loss, *_full_fit_and_count(d, cls, loss), fits, counts)
+
+
 def estimates(
     plan: ResamplingPlan,
     d: Dataset,
@@ -124,38 +181,11 @@ def estimates(
     dist: SyntheticDistribution | None = None,
 ) -> CvEstimates:
     """All four companion quantities; the last two need the distribution."""
-    phi_full, full_errs = _full_fit_and_count(d, cls, loss)
-    fits, counts, sizes = _atom_fits_and_counts(plan, d, cls, loss)
-    risks = counts / sizes.astype(np.float64)
-    r_cv = math.fsum((plan.probs * risks).tolist())
-    r_hat_n = full_errs / d.n
-    r_tilde_n = None
-    r_bar = None
-    if dist is not None:
-        r_tilde_n = learners.true_risk(phi_full, dist, loss)
-        true_risks = np.array(
-            [learners.true_risk(phi, dist, loss) for phi in fits], dtype=np.float64
-        )
-        r_bar = math.fsum((plan.probs * true_risks).tolist())
-    return CvEstimates(r_hat_n=r_hat_n, r_cv=r_cv, r_tilde_n=r_tilde_n, r_bar=r_bar)
+    return fit_plan(plan, d, cls, loss).estimates(dist)
 
 
 def cv_at_least_resub_exact(
     plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss
 ) -> bool:
-    """Exact (integer/rational arithmetic) check that r_cv >= r_hat_n.
-
-    For uniform equal-test-size plans the comparison reduces to integers;
-    otherwise atom probabilities are lifted to exact fractions of their
-    float values. No floating tolerance is involved either way.
-    """
-    _, full_errs = _full_fit_and_count(d, cls, loss)
-    _, counts, sizes = _atom_fits_and_counts(plan, d, cls, loss)
-    if plan.equal_test_sizes and plan.uniform:
-        lhs = d.n * int(counts.sum())
-        rhs = plan.num_atoms * plan.test_size * full_errs
-        return lhs >= rhs
-    total = Fraction(0)
-    for (v, prob), cnt, ts in zip(plan.atoms, counts, sizes):
-        total += Fraction(prob) * Fraction(int(cnt), int(ts))
-    return total >= Fraction(full_errs, d.n)
+    """Exact (integer/rational arithmetic) check that r_cv >= r_hat_n."""
+    return fit_plan(plan, d, cls, loss).lemma_ok()

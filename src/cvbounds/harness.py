@@ -170,18 +170,15 @@ class ExperimentConfig:
             raise ValueError("need 0 <= eta < 1/2")
         if not (0.0 <= self.theta_star <= 1.0):
             raise ValueError("theta_star must lie in [0, 1]")
+        if self.hyp_kind != "threshold":
+            raise ValueError(
+                f"hypothesis kind {self.hyp_kind!r} is not supported: the true "
+                "risk r_tilde_n has a closed form only for thresholds"
+            )
 
     @property
     def dist(self) -> SyntheticDistribution:
         return SyntheticDistribution(theta_star=self.theta_star, eta=self.eta)
-
-    @property
-    def hypothesis_class(self) -> HypothesisClass:
-        if self.hyp_kind == "threshold":
-            return HypothesisClass.threshold()
-        if self.hyp_kind == "interval":
-            return HypothesisClass.interval()
-        raise ValueError(f"unknown hypothesis kind {self.hyp_kind!r}")
 
     def built_plans(self) -> tuple[resampling.ResamplingPlan, ...]:
         return tuple(spec.build(self.n) for spec in self.plans)
@@ -240,12 +237,12 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     cfg.validate()
     rng = trial_generator(cfg.master_seed, trial_id)
     d = cfg.dist.sample(cfg.n, rng)
-    cls = cfg.hypothesis_class
     ests = []
     devs = []
     lemma = []
     for plan in cfg.built_plans():
-        est = cv.estimates(plan, d, cls, ZERO_ONE, dist=cfg.dist)
+        fit = cv.fit_plan(plan, d, HypothesisClass.threshold(), ZERO_ONE)
+        est = fit.estimates(cfg.dist)
         ests.append(est)
         devs.append(
             (
@@ -254,10 +251,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
                 est.r_bar - est.r_tilde_n,
             )
         )
-        if plan.symmetric():
-            lemma.append(cv.cv_at_least_resub_exact(plan, d, cls, ZERO_ONE))
-        else:
-            lemma.append(None)
+        lemma.append(fit.lemma_ok() if plan.symmetric() else None)
     return TrialRecord(
         trial_id=trial_id,
         estimates=tuple(ests),
@@ -305,6 +299,23 @@ class ExperimentReport:
             )
         return "\n".join(lines) + "\n"
 
+    def problems(self) -> list[str]:
+        """Why this run fails validation: comparison-lemma violations and
+        empirical tails above bound plus slack. Empty when it passes."""
+        out = []
+        total_lemma = sum(self.lemma_violations)
+        if total_lemma > 0:
+            out.append(f"{total_lemma} comparison-lemma violations")
+        for row in self.rows:
+            if not math.isnan(row.bound_total) and (
+                row.empirical_tail > row.bound_total + row.slack
+            ):
+                out.append(
+                    f"empirical tail {row.empirical_tail} above bound "
+                    f"{row.bound_total} for {row.plan} at eps={row.eps}"
+                )
+        return out
+
     def to_json(self) -> str:
         payload = {
             "config": self.config.to_dict(),
@@ -334,8 +345,8 @@ def attach_bound(
     q = bounds.BoundQuery(n=n, p=plan.p, eps=eps, vc=vc, clamp=True)
     sym = bounds.bound_sym_combined(q)
     best = (sym.total, f"sym:{sym.branch}")
-    k = round(1.0 / plan.p)
-    if abs(1.0 / plan.p - k) <= 1e-9 and k >= 2:
+    k = bounds.fold_count(plan.p)
+    if k is not None and k >= 2:
         kf = bounds.bound_kfold_combined(q)
         if kf.total < best[0]:
             best = (kf.total, f"kf:{kf.branch}")
@@ -372,28 +383,19 @@ def _chunk_size(n: int, plans) -> int:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Aggregate cfg.trials deterministic trials into an ExperimentReport.
 
-    Uses a vectorized path (batched exact ERM over trials x atoms) when
-    every plan has equal test sizes and the class is the threshold class;
-    falls back to per-trial estimation otherwise. Both paths draw
-    identical datasets, and tallies are exact integer counts, so chunk
-    size and execution order cannot affect the report.
+    Trials run in chunks through batched exact threshold ERM over
+    trials x atoms (cv.threshold_atom_counts). Per-atom counts are exact
+    integers, so chunk size and execution order cannot affect the report.
     """
     cfg.validate()
     plans = cfg.built_plans()
     labels = [spec.label for spec in cfg.plans]
-    cls = cfg.hypothesis_class
     eps_grid = cfg.eps_grid
     accs = [
         _PlanAccumulator(plan, label, eps_grid)
         for plan, label in zip(plans, labels)
     ]
-    fast = cls.kind == "threshold" and all(
-        p.equal_test_sizes for p in plans
-    )
-    if fast:
-        _run_fast(cfg, accs)
-    else:
-        _run_generic(cfg, accs)
+    _run_chunks(cfg, accs)
     rows = []
     l1_rows = []
     lemma_counts = []
@@ -434,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _run_fast(cfg: ExperimentConfig, accs) -> None:
+def _run_chunks(cfg: ExperimentConfig, accs) -> None:
     dist = cfg.dist
     n = cfg.n
     slope = 1.0 - 2.0 * cfg.eta
@@ -443,67 +445,22 @@ def _run_fast(cfg: ExperimentConfig, accs) -> None:
     while done < cfg.trials:
         t1 = min(done + chunk, cfg.trials)
         xs, ys = _batch_labels(dist, n, cfg.master_seed, done, t1)
-        c = t1 - done
         t_full, errs_full = learners._batch_threshold_erm(xs, ys)
         r_tilde = cfg.eta + slope * np.abs(t_full - cfg.theta_star)
         for acc in accs:
             plan = acc.plan
-            a = plan.num_atoms
-            tim = plan.train_index_matrix
-            tei = plan.test_index_matrix
-            ts = plan.test_size
-            thetas, _ = learners._batch_threshold_erm(
-                xs[:, tim].reshape(c * a, -1), ys[:, tim].reshape(c * a, -1)
-            )
-            thetas = thetas.reshape(c, a)
-            preds = xs[:, tei] >= thetas[:, :, None]
-            counts = (preds != (ys[:, tei] > 0.5)).sum(axis=2)
+            _, counts = cv.threshold_atom_counts(plan, xs, ys)
             # elementwise multiply + pairwise sum keeps the reduction
             # order fixed regardless of BLAS threading
-            r_cv = (counts / ts * plan.probs[None, :]).sum(axis=1)
+            r_cv = (counts / plan.test_size * plan.probs[None, :]).sum(axis=1)
             dev = np.abs(r_cv - r_tilde)
             for j, eps in enumerate(cfg.eps_grid):
                 acc.tail_counts[j] += int(np.count_nonzero(dev >= eps))
             acc.abs_devs.extend(dev.tolist())
             if acc.check_lemma:
-                if plan.uniform:
-                    lhs = n * counts.sum(axis=1, dtype=np.int64)
-                    rhs = a * ts * errs_full
-                    acc.lemma_violations += int(np.count_nonzero(lhs < rhs))
-                else:
-                    for i in range(c):
-                        ok = _lemma_exact_from_counts(
-                            plan, counts[i], int(errs_full[i]), n
-                        )
-                        if not ok:
-                            acc.lemma_violations += 1
+                ok = cv.lemma_holds(plan, counts, errs_full)
+                acc.lemma_violations += int(np.count_nonzero(~ok))
         done = t1
-
-
-def _lemma_exact_from_counts(plan, counts, full_errs: int, n: int) -> bool:
-    from fractions import Fraction
-
-    total = Fraction(0)
-    for (vec, prob), cnt in zip(plan.atoms, counts):
-        total += Fraction(prob) * Fraction(int(cnt), vec.zeros)
-    return total >= Fraction(full_errs, n)
-
-
-def _run_generic(cfg: ExperimentConfig, accs) -> None:
-    cls = cfg.hypothesis_class
-    for t in range(cfg.trials):
-        d = cfg.dist.sample(cfg.n, trial_generator(cfg.master_seed, t))
-        for acc in accs:
-            est = cv.estimates(acc.plan, d, cls, ZERO_ONE, dist=cfg.dist)
-            dev = abs(est.r_cv - est.r_tilde_n)
-            for j, eps in enumerate(cfg.eps_grid):
-                if dev >= eps:
-                    acc.tail_counts[j] += 1
-            acc.abs_devs.append(dev)
-            if acc.check_lemma and not cv.cv_at_least_resub_exact(
-                acc.plan, d, cls, ZERO_ONE
-            ):
-                acc.lemma_violations += 1
 
 
 def compare_procedures(cfg: ExperimentConfig) -> dict:
@@ -514,14 +471,19 @@ def compare_procedures(cfg: ExperimentConfig) -> dict:
     test-term ratio needs p = 1/k with k >= 3 (the improved tail term
     requires p < 1/2) and is null elsewhere.
     """
-    report = run_experiment(cfg)
+    return comparison_table(run_experiment(cfg))
+
+
+def comparison_table(report: ExperimentReport) -> dict:
+    """The compare_procedures payload for an existing report."""
+    cfg = report.config
     ratios = []
     for spec, plan in zip(cfg.plans, cfg.built_plans()):
         for eps in cfg.eps_grid:
             b_ratio = bounds.ratio_b_sym_over_b_hold(cfg.n, plan.p, eps, cfg.vc)
             v_ratio = None
-            k = round(1.0 / plan.p)
-            if abs(1.0 / plan.p - k) <= 1e-9 and k >= 3:
+            k = bounds.fold_count(plan.p)
+            if k is not None and k >= 3:
                 v_ratio = bounds.ratio_v_kfold_over_v_sym(cfg.n, plan.p, eps, cfg.vc)
             ratios.append(
                 {

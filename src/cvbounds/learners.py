@@ -287,6 +287,15 @@ def _interval_erm(x: np.ndarray, y: np.ndarray):
     return best_ab, int(best_err)
 
 
+def check_zero_one_sample(x: np.ndarray, y: np.ndarray) -> None:
+    """Reject data outside the domain of exact 0/1 ERM: both classes are
+    defined over features in [0,1], and labels must lie in {0,1}."""
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError("both classes are defined over features in [0,1]")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("zero-one minimization needs labels in {0,1}")
+
+
 def erm_fit(cls: HypothesisClass, v: BinaryVector, d: Dataset, loss: Loss):
     """Predictor attaining the exact minimum empirical risk on a subsample.
 
@@ -303,10 +312,7 @@ def erm_fit(cls: HypothesisClass, v: BinaryVector, d: Dataset, loss: Loss):
         raise ValueError("mask selects an empty subsample")
     x = d.x[idx]
     y = d.y[idx]
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("both classes are defined over features in [0,1]")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("zero-one minimization needs labels in {0,1}")
+    check_zero_one_sample(x, y)
     if cls.kind == "threshold":
         t, _ = _threshold_erm(x, y)
         return ThresholdPredictor(t)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
+from . import bounds
+
 LOG_OVERFLOW = 709.0
 
 # Coefficient of sigma in the gamma closed form. The two variants are
@@ -199,8 +201,8 @@ def log_kfold_pipeline(n: int, p: float, eps: float, vc: int, proof_form: bool =
     Uses sigma^2 = 4/(np), shatter constant c = 2(2np+1)^vc, V = 1/p:
     log of chernoff_sum(sqrt2 e^(1/6), e*gamma(sigma, c), V, eps).
     """
-    V = round(1.0 / p)
-    if not (0.0 < p < 1.0) or abs(1.0 / p - V) > 1e-9:
+    V = bounds.fold_count(p) if 0.0 < p < 1.0 else None
+    if V is None:
         raise ValueError("need p = 1/V for an integer V")
     np_ = n * p
     if abs(np_ - round(np_)) > 1e-9 or round(np_) < 1:
@@ -215,8 +217,8 @@ def log_kfold_proof_form(n: int, p: float, eps: float, vc: int) -> float:
     """The same tail term written the way the derivation's last line prints it:
     (sqrt2 e^(1/6))^(1/p) exp(-(1/p) eps^2 / (2 sigma^2 (e^(1/2) sqrt(4 ln c)
     + pi^(1/4) 3^(1/3) 2)^2)) with sigma^2 = 4/(np), c = 2(2np+1)^vc."""
-    V = round(1.0 / p)
-    if not (0.0 < p < 1.0) or abs(1.0 / p - V) > 1e-9:
+    V = bounds.fold_count(p) if 0.0 < p < 1.0 else None
+    if V is None:
         raise ValueError("need p = 1/V for an integer V")
     np_ = n * p
     sigma2 = 4.0 / np_

@@ -103,6 +103,15 @@ def test_curve_l1_needs_no_eps_but_probability_does(capsys):
     assert code == 1 and "--eps" in err
 
 
+def test_curve_l1_chained_rejects_negative_c(capsys):
+    code, out, err = run_cli(
+        capsys, "curve", "--n", "100", "--procedure", "l1-chained", "--c", "-5"
+    )
+    assert code == 1
+    assert out == ""
+    assert "nonnegative" in err
+
+
 def test_split_csv_and_modes(capsys):
     code, out, _ = run_cli(capsys, "split", "--n", "5000")
     assert code == 0
@@ -211,6 +220,23 @@ def test_simulate_flags_tail_breach_exit_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--n", "20", "--trials", "5")
     assert code == 3
     assert "above bound" in err
+
+
+def test_compare_flags_tail_breach_exit_three(capsys, monkeypatch):
+    cfg = ExperimentConfig(
+        theta_star=0.3, eta=0.1, n=20, plans=(PlanSpec(kind="kfold", k=5),),
+        trials=5, master_seed=0,
+    )
+    real = harness.run_experiment(cfg)
+    rows = list(real.rows)
+    rows[0] = dataclasses.replace(rows[0], empirical_tail=1.0, bound_total=0.1, slack=0.0)
+    doctored = dataclasses.replace(real, rows=tuple(rows))
+    monkeypatch.setattr(harness, "run_experiment", lambda _cfg: doctored)
+    code, out, err = run_cli(capsys, "compare", "--n", "20", "--k", "5", "--trials", "5")
+    assert code == 3
+    assert err.startswith("ERROR 3:")
+    assert "above bound" in err
+    assert "plan,p,eps,b_sym_over_b_hold" in out  # tables still emitted
 
 
 def test_compare_two_tables(capsys):

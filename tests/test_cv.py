@@ -129,6 +129,51 @@ def test_exact_lemma_check_on_nonuniform_plan():
         assert cv.cv_at_least_resub_exact(plan, d, THRESH, ZERO_ONE)
 
 
+def test_lemma_integer_shortcut_agrees_with_fraction_path():
+    # dyadic uniform plans: every atom probability is an exact binary float,
+    # so both paths decide the same exact rational inequality, ties included
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    seen = set()
+    for plan in (make_kfold(16, 2), make_kfold(16, 4), make_kfold(16, 8), make_loo(16)):
+        assert plan.uniform and plan.equal_test_sizes
+        ts, a = plan.test_size, plan.num_atoms
+        counts = rng.integers(0, ts + 1, size=(60, a))
+        tie = 16 * counts.sum(axis=1) // (a * ts)
+        full_errs = np.concatenate([tie - 1, tie, tie + 1]).clip(0, 16)
+        counts = np.concatenate([counts, counts, counts])
+        fast = cv.lemma_holds(plan, counts, full_errs)
+        exact = [cv._lemma_fraction(plan, row, int(e)) for row, e in zip(counts, full_errs)]
+        assert fast.tolist() == exact
+        seen.update(exact)
+    assert seen == {True, False}
+
+
+UNEQUAL_PLAN_10 = (
+    ((0, 1, 1, 1, 1, 1, 1, 1, 1, 1), 0.5),
+    ((0, 0, 1, 1, 1, 1, 1, 1, 1, 1), 0.5),
+)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "interval"])
+@pytest.mark.parametrize("plan_kind", ["kfold", "unequal"])
+@pytest.mark.parametrize("bad", ["label", "feature"])
+def test_estimator_rejects_data_outside_the_erm_domain(kind, plan_kind, bad):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(29)))
+    x = rng.random(10)
+    y = (rng.random(10) < 0.5).astype(np.float64)
+    if bad == "label":
+        y[0] = 0.5
+    else:
+        x = -0.5 + 2.0 * x
+    if plan_kind == "kfold":
+        plan = make_kfold(10, 5)
+    else:
+        plan = make_custom(10, UNEQUAL_PLAN_10, allow_unequal_test_sizes=True)
+    cls = HypothesisClass(kind, 1 if kind == "threshold" else 2)
+    with pytest.raises(ValueError):
+        cv.cross_validate(plan, Dataset(x, y), cls, ZERO_ONE)
+
+
 def test_plan_convexity_of_the_estimator():
     a = make_kfold(6, 2)
     b = make_leave_v_out(6, 3)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cvbounds import bounds, harness
+import oracles
+from cvbounds import bounds, harness, learners
 from cvbounds.harness import (
     DEFAULT_EPS_GRID,
     ExperimentConfig,
@@ -16,6 +17,7 @@ from cvbounds.harness import (
     trial_generator,
     trial_key,
 )
+from cvbounds.learners import ZERO_ONE
 
 
 def small_config(**overrides):
@@ -92,7 +94,7 @@ def test_run_experiment_deterministic():
     assert r1.to_csv() == r2.to_csv()
 
 
-def test_fast_and_generic_paths_agree():
+def test_run_experiment_matches_loop_oracle():
     cfg = small_config(
         trials=40,
         plans=(
@@ -101,22 +103,40 @@ def test_fast_and_generic_paths_agree():
             PlanSpec(kind="holdout", p=0.2),
         ),
     )
+    report = run_experiment(cfg)
+    plans = cfg.built_plans()
+    devs = [[] for _ in plans]
+    for t in range(cfg.trials):
+        d = cfg.dist.sample(cfg.n, trial_generator(cfg.master_seed, t))
+        x, y = d.x.tolist(), d.y.tolist()
+        t_full, _ = oracles.brute_threshold_erm(x, y)
+        r_tilde = learners.true_risk(learners.ThresholdPredictor(t_full), cfg.dist, ZERO_ONE)
+        for devs_p, plan in zip(devs, plans):
+            atoms = [(v.bits, prob) for v, prob in plan.atoms]
+            devs_p.append(abs(oracles.brute_cv(atoms, x, y) - r_tilde))
+    assert report.lemma_violations == (0, 0, 0)
+    rows = iter(report.rows)
+    for devs_p, l1 in zip(devs, report.l1_rows):
+        for eps in cfg.eps_grid:
+            row = next(rows)
+            assert row.eps == eps
+            tail_count = sum(1 for dev in devs_p if dev >= eps)
+            assert round(row.empirical_tail * cfg.trials) == tail_count
+        mean_dev = math.fsum(devs_p) / cfg.trials
+        assert abs(l1.empirical_mean_abs_dev - mean_dev) <= 1e-12
 
-    def tallies(runner):
-        plans = cfg.built_plans()
-        accs = [
-            harness._PlanAccumulator(plan, spec.label, cfg.eps_grid)
-            for plan, spec in zip(plans, cfg.plans)
-        ]
-        runner(cfg, accs)
-        return accs
 
-    fast = tallies(harness._run_fast)
-    gen = tallies(harness._run_generic)
-    for f, g in zip(fast, gen):
-        assert np.array_equal(f.tail_counts, g.tail_counts)
-        assert f.lemma_violations == g.lemma_violations == 0
-        assert np.allclose(f.abs_devs, g.abs_devs, rtol=0, atol=1e-12)
+def test_interval_class_rejected_before_any_work(monkeypatch):
+    cfg = small_config(hyp_kind="interval")
+    with pytest.raises(ValueError, match="closed form only for thresholds"):
+        cfg.validate()
+
+    def no_sampling(*args):
+        raise AssertionError("sampling started before validation")
+
+    monkeypatch.setattr(harness, "_batch_labels", no_sampling)
+    with pytest.raises(ValueError, match="closed form only for thresholds"):
+        run_experiment(cfg)
 
 
 def test_report_tails_within_bounds_and_no_violations():
