@@ -9,14 +9,6 @@ import argparse
 
 from cvbounds import bounds
 
-PROCEDURES = (
-    "symmetric-large",
-    "symmetric-small",
-    "symmetric-combined",
-    "kfold",
-    "holdout",
-)
-
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -27,7 +19,7 @@ def main(argv=None) -> int:
     ap.add_argument("--strict-proposition", action="store_true")
     args = ap.parse_args(argv)
 
-    for proc in PROCEDURES:
+    for proc in bounds.PROCEDURES:
         curve = bounds.estimation_curve(
             args.n,
             args.eps,

@@ -2,11 +2,13 @@
 
 Verbs: bound, curve, split, ci, simulate, compare, verify. Default output
 is CSV (--json switches); `verify` always emits JSON because its reports
-are nested. Totals are clamped to 1 unless --no-clamp is given. Exit
-codes: 0 success, 1 usage error, 2 infeasible confidence-interval search,
-3 invariant violation detected during simulate/verify. Errors print one
-line to stderr prefixed "ERROR <code>:". Output depends only on argv and
-the seed, never on wall-clock state, so reruns are byte-identical.
+are nested. bound, curve and ci clamp totals to 1 unless --no-clamp is
+given and take --strict-proposition; --gamma-proof-form belongs to verify;
+a verb refuses flags it does not read. Exit codes: 0 success, 1 usage
+error, 2 infeasible confidence-interval search, 3 invariant violation
+detected during simulate/verify. Errors print one line to stderr prefixed
+"ERROR <code>:". Output depends only on argv and the seed, never on
+wall-clock state, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,52 +35,34 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cvbounds", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
-    def add_common(sp, *names):
-        if "n" in names:
-            sp.add_argument("--n", type=int, default=None)
-        if "p" in names:
-            sp.add_argument("--p", type=float, default=None)
-        if "k" in names:
-            sp.add_argument("--k", type=int, default=None)
-        if "vc" in names:
-            sp.add_argument("--vc", type=int, default=None)
-        if "eps" in names:
-            sp.add_argument("--eps", type=float, default=None)
-        if "alpha" in names:
-            sp.add_argument("--alpha", type=float, default=None)
-        if "procedure" in names:
-            sp.add_argument("--procedure", type=str, default=None)
-        if "trials" in names:
-            sp.add_argument("--trials", type=int, default=None)
-        if "seed" in names:
-            sp.add_argument("--seed", type=int, default=None)
-        if "config" in names:
-            sp.add_argument("--config", type=str, default=None)
-        if "c" in names:
-            sp.add_argument("--c", type=float, default=None)
+    option_types = {
+        "n": int, "p": float, "k": int, "vc": int, "eps": float, "alpha": float,
+        "procedure": str, "trials": int, "seed": int, "config": str, "c": float,
+    }
+    switches = {
+        "no_clamp": "--no-clamp",
+        "strict_proposition": "--strict-proposition",
+        "gamma_proof_form": "--gamma-proof-form",
+    }
+
+    def add_verb(verb, *names):
+        sp = sub.add_parser(verb)
+        for name in names:
+            if name in switches:
+                sp.add_argument(switches[name], dest=name, action="store_true")
+            else:
+                sp.add_argument(f"--{name}", type=option_types[name], default=None)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--no-clamp", dest="no_clamp", action="store_true")
-        sp.add_argument(
-            "--strict-proposition", dest="strict_proposition", action="store_true"
-        )
-        sp.add_argument(
-            "--gamma-proof-form", dest="gamma_proof_form", action="store_true"
-        )
 
-    add_common(sub.add_parser("bound"), "n", "p", "k", "vc", "eps", "procedure")
-    add_common(sub.add_parser("curve"), "n", "vc", "eps", "procedure", "c")
-    add_common(sub.add_parser("split"), "n", "vc", "c")
-    add_common(sub.add_parser("ci"), "n", "vc", "alpha", "procedure")
-    add_common(
-        sub.add_parser("simulate"), "n", "k", "vc", "trials", "seed", "config"
-    )
-    add_common(
-        sub.add_parser("compare"), "n", "k", "vc", "trials", "seed", "config"
-    )
-    add_common(
-        sub.add_parser("verify"), "n", "p", "procedure", "trials", "seed"
-    )
+    bound_switches = ("no_clamp", "strict_proposition")
+    add_verb("bound", "n", "p", "k", "vc", "eps", "procedure", *bound_switches)
+    add_verb("curve", "n", "vc", "eps", "procedure", "c", *bound_switches)
+    add_verb("split", "n", "vc", "c")
+    add_verb("ci", "n", "vc", "alpha", "procedure", *bound_switches)
+    add_verb("simulate", "n", "k", "vc", "trials", "seed", "config")
+    add_verb("compare", "n", "k", "vc", "trials", "seed", "config")
+    add_verb("verify", "n", "p", "procedure", "trials", "seed", "gamma_proof_form")
     return parser
 
 

@@ -84,9 +84,7 @@ def _atom_fits_and_counts(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass
 
 
 def _risks(plan: ResamplingPlan, counts: np.ndarray) -> np.ndarray:
-    if plan.equal_test_sizes:
-        return counts / plan.test_size
-    return counts / np.array([v.zeros for v, _ in plan.atoms], dtype=np.int64)
+    return counts / plan.test_sizes
 
 
 def _plan_average(plan: ResamplingPlan, values: np.ndarray) -> float:
@@ -136,8 +134,8 @@ def lemma_holds(plan: ResamplingPlan, counts, full_errs) -> np.ndarray:
 
 def _lemma_fraction(plan: ResamplingPlan, counts, full_errs: int) -> bool:
     total = Fraction(0)
-    for (v, prob), cnt in zip(plan.atoms, counts):
-        total += Fraction(prob) * Fraction(int(cnt), v.zeros)
+    for prob, size, cnt in zip(plan.probs.tolist(), plan.test_sizes.tolist(), counts):
+        total += Fraction(prob) * Fraction(int(cnt), size)
     return total >= Fraction(full_errs, plan.n)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -180,8 +181,14 @@ class ExperimentConfig:
     def dist(self) -> SyntheticDistribution:
         return SyntheticDistribution(theta_star=self.theta_star, eta=self.eta)
 
-    def built_plans(self) -> tuple[resampling.ResamplingPlan, ...]:
+    @cached_property
+    def _built_plans(self) -> tuple[resampling.ResamplingPlan, ...]:
+        self.validate()
         return tuple(spec.build(self.n) for spec in self.plans)
+
+    def built_plans(self) -> tuple[resampling.ResamplingPlan, ...]:
+        """The validated config's plans, built once per instance."""
+        return self._built_plans
 
     def to_dict(self) -> dict:
         return {
@@ -234,13 +241,13 @@ class TrialRecord:
 
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     """Run one fully deterministic trial: record depends only on (cfg, trial_id)."""
-    cfg.validate()
+    plans = cfg.built_plans()
     rng = trial_generator(cfg.master_seed, trial_id)
     d = cfg.dist.sample(cfg.n, rng)
     ests = []
     devs = []
     lemma = []
-    for plan in cfg.built_plans():
+    for plan in plans:
         fit = cv.fit_plan(plan, d, HypothesisClass.threshold(), ZERO_ONE)
         est = fit.estimates(cfg.dist)
         ests.append(est)
@@ -331,9 +338,11 @@ def attach_bound(
 ) -> tuple[float, str]:
     """Clamped theoretical tail for a plan: the tightest applicable form.
 
-    k-fold style plans (p = 1/k) get the better of the symmetric and
-    k-fold combined bounds; other symmetric plans get the symmetric
-    bound; single-split plans get the hold-out bound.
+    Plans that partition the indices into equally weighted test sets
+    (k-fold, leave-one-out) get the better of the symmetric and k-fold
+    combined bounds; other symmetric plans, leave-v-out with v >= 2
+    among them, get the symmetric bound; single-split plans get the
+    hold-out bound.
     """
     if plan.kind == "hold-out":
         value = bounds.bound_holdout(
@@ -345,8 +354,7 @@ def attach_bound(
     q = bounds.BoundQuery(n=n, p=plan.p, eps=eps, vc=vc, clamp=True)
     sym = bounds.bound_sym_combined(q)
     best = (sym.total, f"sym:{sym.branch}")
-    k = bounds.fold_count(plan.p)
-    if k is not None and k >= 2:
+    if plan.partition:
         kf = bounds.bound_kfold_combined(q)
         if kf.total < best[0]:
             best = (kf.total, f"kf:{kf.branch}")
@@ -375,8 +383,8 @@ def _batch_labels(dist: SyntheticDistribution, n: int, master_seed: int, t0: int
     return xs, ys
 
 
-def _chunk_size(n: int, plans) -> int:
-    rows_per_trial = sum(p.num_atoms * max(p.n - p.test_size, 1) for p in plans)
+def _chunk_size(plans) -> int:
+    rows_per_trial = sum(p.num_atoms * max(p.train_size, 1) for p in plans)
     return max(1, min(2000, int(2e6 / max(rows_per_trial, 1))))
 
 
@@ -387,7 +395,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     trials x atoms (cv.threshold_atom_counts). Per-atom counts are exact
     integers, so chunk size and execution order cannot affect the report.
     """
-    cfg.validate()
     plans = cfg.built_plans()
     labels = [spec.label for spec in cfg.plans]
     eps_grid = cfg.eps_grid
@@ -440,7 +447,7 @@ def _run_chunks(cfg: ExperimentConfig, accs) -> None:
     dist = cfg.dist
     n = cfg.n
     slope = 1.0 - 2.0 * cfg.eta
-    chunk = _chunk_size(n, [acc.plan for acc in accs])
+    chunk = _chunk_size([acc.plan for acc in accs])
     done = 0
     while done < cfg.trials:
         t1 = min(done + chunk, cfg.trials)

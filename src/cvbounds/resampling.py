@@ -3,8 +3,11 @@
 A resampling plan is a finite probability distribution over binary training
 vectors of a common length n. Every data-splitting procedure handled here
 (k-fold, leave-one-out, leave-v-out, hold-out) is encoded as such a
-distribution, so estimators and bounds can treat them uniformly. Plans are
-immutable after construction and safe to share across workers.
+distribution, so estimators and bounds can treat them uniformly. A plan
+stores one read-only (atoms, n) boolean training matrix and its atom
+probabilities; BinaryVector masks are built only on request, for the JSON
+form and per-atom callers. Plans are immutable after construction and safe
+to share across workers.
 """
 
 from __future__ import annotations
@@ -74,13 +77,11 @@ def test_vector(v_tr: BinaryVector) -> BinaryVector:
     return BinaryVector(tuple(1 - b for b in v_tr.bits))
 
 
-def _full_mask(n: int) -> BinaryVector:
-    return BinaryVector((1,) * n)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResamplingPlan:
     """Finite distribution over training masks of a common length n.
+
+    Plans compare and hash by identity.
 
     Parameters
     ----------
@@ -93,8 +94,10 @@ class ResamplingPlan:
     kind : str
         Tag in {"k-fold", "leave-one-out", "leave-v-out-exhaustive",
         "leave-v-out-montecarlo", "hold-out", "custom"}.
-    atoms : tuple of (BinaryVector, float)
-        Training masks with their positive probabilities, summing to one.
+    train_matrix : ndarray of bool, shape (num_atoms, n), read-only
+        Row a is True where atom a trains on an index.
+    probs : ndarray of float64, shape (num_atoms,), read-only
+        Positive atom probabilities summing to one.
     equal_test_sizes : bool
         True when every atom leaves out the same number of points. The
         concentration-bound machinery requires this and refuses plans
@@ -104,60 +107,64 @@ class ResamplingPlan:
     n: int
     p: float
     kind: str
-    atoms: tuple[tuple[BinaryVector, float], ...]
+    train_matrix: np.ndarray
+    probs: np.ndarray
     equal_test_sizes: bool = True
 
     @property
     def num_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.probs)
+
+    @cached_property
+    def test_sizes(self) -> np.ndarray:
+        """Points left out by each atom."""
+        out = self.n - np.count_nonzero(self.train_matrix, axis=1)
+        out.setflags(write=False)
+        return out
 
     @property
     def test_size(self) -> int:
         """Points left out per atom. Only meaningful with equal_test_sizes."""
         if not self.equal_test_sizes:
             raise ValueError("plan has varying test sizes")
-        return self.atoms[0][0].zeros
+        return int(self.test_sizes[0])
 
     @property
     def train_size(self) -> int:
-        if not self.equal_test_sizes:
-            raise ValueError("plan has varying test sizes")
         return self.n - self.test_size
 
     @cached_property
-    def probs(self) -> np.ndarray:
-        out = np.array([prob for _, prob in self.atoms], dtype=np.float64)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def train_matrix(self) -> np.ndarray:
-        """(num_atoms, n) boolean matrix, True where an index is trained on."""
-        out = np.array([v.bits for v, _ in self.atoms], dtype=bool)
-        out.setflags(write=False)
-        return out
+    def atoms(self) -> tuple[tuple[BinaryVector, float], ...]:
+        """(training mask, probability) pairs, built on first use."""
+        rows = self.train_matrix.astype(np.int8).tolist()
+        return tuple(
+            (BinaryVector(tuple(bits)), prob) for bits, prob in zip(rows, self.probs.tolist())
+        )
 
     @cached_property
     def train_index_matrix(self) -> np.ndarray:
         """(num_atoms, train_size) int matrix of training indices per atom."""
-        rows = [np.flatnonzero(self.train_matrix[a]) for a in range(self.num_atoms)]
-        out = np.vstack(rows)
+        out = np.nonzero(self.train_matrix)[1].reshape(self.num_atoms, self.train_size)
         out.setflags(write=False)
         return out
 
     @cached_property
     def test_index_matrix(self) -> np.ndarray:
         """(num_atoms, test_size) int matrix of test indices per atom."""
-        rows = [np.flatnonzero(~self.train_matrix[a]) for a in range(self.num_atoms)]
-        out = np.vstack(rows)
+        out = np.nonzero(~self.train_matrix)[1].reshape(self.num_atoms, self.test_size)
         out.setflags(write=False)
         return out
 
     @cached_property
     def uniform(self) -> bool:
         """True when all atom probabilities are exactly equal."""
-        first = self.atoms[0][1]
-        return all(prob == first for _, prob in self.atoms)
+        return bool(np.all(self.probs == self.probs[0]))
+
+    @cached_property
+    def partition(self) -> bool:
+        """Uniform weights and every index left out by exactly one atom
+        (k-fold and leave-one-out)."""
+        return self.uniform and bool(np.all(self.train_matrix.sum(axis=0) == self.num_atoms - 1))
 
     def train_probability(self) -> np.ndarray:
         """Per-index probability of landing in the training set."""
@@ -176,39 +183,48 @@ class ResamplingPlan:
 def _assemble(
     n: int,
     kind: str,
-    atoms: list[tuple[BinaryVector, float]],
+    train: np.ndarray,
+    probs: np.ndarray,
     allow_unequal_test_sizes: bool = False,
 ) -> ResamplingPlan:
-    """Validate atoms and build a plan; shared by all constructors."""
+    """Validate a (num_atoms, n) training matrix and its atom probabilities
+    and build a plan; shared by all constructors."""
     if n < 2:
         raise ValueError("plans need n >= 2")
-    if not atoms:
+    if len(probs) == 0:
         raise ValueError("plan must have at least one atom")
-    for v, prob in atoms:
-        if v.n != n:
-            raise ValueError(f"atom length {v.n} does not match n={n}")
-        if v.zeros == 0:
-            raise ValueError("every atom must leave out at least one point")
-        if not (prob > 0.0):
-            raise ValueError("atom probabilities must be positive")
-    total = math.fsum(prob for _, prob in atoms)
+    zeros = n - np.count_nonzero(train, axis=1)
+    if not np.all(zeros < n):
+        raise ValueError("every atom must train on at least one point")
+    if not zeros.all():
+        raise ValueError("every atom must leave out at least one point")
+    if not np.all(probs > 0.0):
+        raise ValueError("atom probabilities must be positive")
+    total = math.fsum(probs.tolist())
     if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-    zeros = {v.zeros for v, _ in atoms}
-    if len(zeros) == 1:
-        test_size = zeros.pop()
-        p = test_size / n
-        equal = True
+    equal = bool(np.all(zeros == zeros[0]))
+    if equal:
+        p = int(zeros[0]) / n
     elif allow_unequal_test_sizes:
-        p = math.fsum(prob * (v.zeros / n) for v, prob in atoms)
-        equal = False
+        p = math.fsum((probs * (zeros / n)).tolist())
     else:
         raise ValueError(
             "atoms leave out varying numbers of points; pass "
             "allow_unequal_test_sizes=True to accept such a plan "
             "(bound formulas will refuse it)"
         )
-    return ResamplingPlan(n=n, p=p, kind=kind, atoms=tuple(atoms), equal_test_sizes=equal)
+    train.setflags(write=False)
+    probs.setflags(write=False)
+    return ResamplingPlan(n, p, kind, train, probs, equal_test_sizes=equal)
+
+
+def _leave_out(n: int, kind: str, test_sets) -> ResamplingPlan:
+    """Equally weighted plan whose atom a leaves out the indices test_sets[a]."""
+    test = np.asarray(test_sets, dtype=np.intp)
+    train = np.ones((len(test), n), dtype=bool)
+    np.put_along_axis(train, test, False, axis=1)
+    return _assemble(n, kind, train, np.full(len(test), 1.0 / len(test)))
 
 
 def make_kfold(n: int, k: int, shuffle_seed: int | None = None) -> ResamplingPlan:
@@ -225,26 +241,14 @@ def make_kfold(n: int, k: int, shuffle_seed: int | None = None) -> ResamplingPla
     order = list(range(n))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
-    fold = n // k
-    atoms = []
-    for j in range(k):
-        bits = [1] * n
-        for i in order[j * fold : (j + 1) * fold]:
-            bits[i] = 0
-        atoms.append((BinaryVector(tuple(bits)), 1.0 / k))
-    return _assemble(n, "k-fold", atoms)
+    return _leave_out(n, "k-fold", np.reshape(order, (k, n // k)))
 
 
 def make_loo(n: int) -> ResamplingPlan:
     """Leave-one-out plan: n atoms of probability 1/n, one zero each."""
     if n < 2:
         raise ValueError("leave-one-out needs n >= 2")
-    atoms = []
-    for i in range(n):
-        bits = [1] * n
-        bits[i] = 0
-        atoms.append((BinaryVector(tuple(bits)), 1.0 / n))
-    return _assemble(n, "leave-one-out", atoms)
+    return _leave_out(n, "leave-one-out", np.arange(n)[:, None])
 
 
 def make_leave_v_out(
@@ -274,27 +278,17 @@ def make_leave_v_out(
             raise ValueError(
                 f"C({n},{v}) = {count} atoms exceeds the cap of {atom_cap}"
             )
-        atoms = []
-        for combo in itertools.combinations(range(n), v):
-            bits = [1] * n
-            for i in combo:
-                bits[i] = 0
-            atoms.append((BinaryVector(tuple(bits)), 1.0 / count))
-        return _assemble(n, "leave-v-out-exhaustive", atoms)
+        combos = itertools.combinations(range(n), v)
+        test = np.fromiter(combos, dtype=np.dtype((np.intp, v)), count=count)
+        return _leave_out(n, "leave-v-out-exhaustive", test)
     if mode == "montecarlo":
         if m is None or m < 1:
             raise ValueError("montecarlo mode needs m >= 1 draws")
         if seed is None:
             raise ValueError("montecarlo mode needs an explicit seed")
         rng = random.Random(seed)
-        atoms = []
-        for _ in range(m):
-            combo = rng.sample(range(n), v)
-            bits = [1] * n
-            for i in combo:
-                bits[i] = 0
-            atoms.append((BinaryVector(tuple(bits)), 1.0 / m))
-        return _assemble(n, "leave-v-out-montecarlo", atoms)
+        test = [rng.sample(range(n), v) for _ in range(m)]
+        return _leave_out(n, "leave-v-out-montecarlo", test)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -314,10 +308,7 @@ def make_holdout(n: int, p: float, test_indices) -> ResamplingPlan:
         raise ValueError(
             f"got {len(test)} distinct test indices, expected n*p = {round(want)}"
         )
-    bits = [1] * n
-    for i in test:
-        bits[i] = 0
-    return _assemble(n, "hold-out", [(BinaryVector(tuple(bits)), 1.0)])
+    return _leave_out(n, "hold-out", [test])
 
 
 def make_custom(
@@ -332,12 +323,16 @@ def make_custom(
     atoms are enforced unless explicitly opted out; opted-out plans are
     marked so bound operations can refuse them.
     """
-    normalized = []
+    masks, probs = [], []
     for v, prob in atoms:
         if not isinstance(v, BinaryVector):
             v = BinaryVector(tuple(int(b) for b in v))
-        normalized.append((v, float(prob)))
-    return _assemble(n, kind, normalized, allow_unequal_test_sizes=allow_unequal_test_sizes)
+        if v.n != n:
+            raise ValueError(f"atom length {v.n} does not match n={n}")
+        masks.append(v.bits)
+        probs.append(float(prob))
+    train = np.array(masks, dtype=bool).reshape(len(masks), n)
+    return _assemble(n, kind, train, np.array(probs), allow_unequal_test_sizes)
 
 
 def plan_to_dict(plan: ResamplingPlan) -> dict:

@@ -17,8 +17,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import bounds
-
-LOG_OVERFLOW = 709.0
+from .bounds import _exp
 
 # Coefficient of sigma in the gamma closed form. The two variants are
 # algebraically identical ((2pi)^(1/4) 2^(3/4) = 2 pi^(1/4)); both are
@@ -29,12 +28,6 @@ KAPPA_PROOF = (
 )
 
 LAPLACE_CONSTANT = math.sqrt(2.0) * math.exp(1.0 / 6.0)
-
-
-def _exp(logv: float) -> float:
-    if logv > LOG_OVERFLOW:
-        return math.inf
-    return math.exp(logv)
 
 
 def _slack(phat: float, m: int) -> float:

@@ -1,13 +1,17 @@
 """Independent reimplementations used as test oracles.
 
 Deliberately naive on purpose: mpmath transcriptions of the closed forms
-at 50 significant digits, and loop-based risk minimization built from
-direct predictor evaluation. Nothing here shares code with the package.
+at 50 significant digits, loop-based risk minimization built from
+direct predictor evaluation, and resampling plans written out bit by bit.
+Nothing here shares code with the package.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import random
 
 from mpmath import mp, mpf
 
@@ -223,3 +227,64 @@ def close_log(lib_log: float, mp_log, tol: float = 1e-10) -> bool:
 def close_linear(lib_value: float, mp_value, rel: float = 1e-12) -> bool:
     ref = float(mp_value)
     return abs(lib_value - ref) <= rel * max(abs(ref), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Resampling plans as explicit per-atom bit tuples, built index by index.
+# Each reference returns (atoms, p, equal_test_sizes, json text) with atoms
+# a list of (bits, prob) pairs in construction order; the random calls are
+# the same as the library's, in the same order.
+# ---------------------------------------------------------------------------
+
+def _ref_plan(n, kind, test_sets, probs=None):
+    atoms = []
+    for a, test in enumerate(test_sets):
+        bits = [1] * n
+        for i in test:
+            bits[i] = 0
+        prob = 1.0 / len(test_sets) if probs is None else probs[a]
+        atoms.append((tuple(bits), prob))
+    zeros = [bits.count(0) for bits, _ in atoms]
+    equal = len(set(zeros)) == 1
+    if equal:
+        p = zeros[0] / n
+    else:
+        p = math.fsum(prob * (z / n) for (_, prob), z in zip(atoms, zeros))
+    payload = {
+        "n": n,
+        "p": p,
+        "kind": kind,
+        "atoms": [
+            {"bits": "".join(str(b) for b in bits), "prob": prob} for bits, prob in atoms
+        ],
+    }
+    return atoms, p, equal, json.dumps(payload, sort_keys=True)
+
+
+def ref_kfold(n, k, shuffle_seed=None):
+    order = list(range(n))
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(order)
+    fold = n // k
+    return _ref_plan(n, "k-fold", [order[j * fold : (j + 1) * fold] for j in range(k)])
+
+
+def ref_loo(n):
+    return _ref_plan(n, "leave-one-out", [[i] for i in range(n)])
+
+
+def ref_leave_v_out(n, v, mode="exhaustive", m=None, seed=None):
+    if mode == "exhaustive":
+        return _ref_plan(n, "leave-v-out-exhaustive", list(itertools.combinations(range(n), v)))
+    rng = random.Random(seed)
+    return _ref_plan(n, "leave-v-out-montecarlo", [rng.sample(range(n), v) for _ in range(m)])
+
+
+def ref_holdout(n, test_indices):
+    return _ref_plan(n, "hold-out", [sorted(set(test_indices))])
+
+
+def ref_custom(n, atoms, kind="custom"):
+    """atoms: (bits, prob) pairs, taken as given."""
+    test_sets = [[i for i, b in enumerate(bits) if b == 0] for bits, _ in atoms]
+    return _ref_plan(n, kind, test_sets, [float(prob) for _, prob in atoms])

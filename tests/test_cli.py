@@ -296,6 +296,20 @@ def test_verify_proof_form_flag(capsys):
     assert json.loads(out)[0]["params"]["variant"] == "proof"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("split", "--n", "1000", "--no-clamp"),
+        ("simulate", "--n", "20", "--k", "5", "--trials", "10", "--strict-proposition"),
+        ("bound", "--n", "1000", "--p", "0.1", "--eps", "0.3", "--gamma-proof-form"),
+    ],
+)
+def test_verbs_refuse_switches_they_do_not_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR 1:")
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run_cli(capsys, "verify", "--procedure", "sharpe")
     assert code == 1

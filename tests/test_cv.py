@@ -273,3 +273,11 @@ def test_atom_predictors_align_with_risks():
         i = v.indices(0)[0]
         pred = float(fits[a].predict(np.array([x[i]]))[0])
         assert risks[a] == (1.0 if pred != y[i] else 0.0)
+
+
+def test_batched_path_never_builds_binary_vectors():
+    n = 60
+    d = SyntheticDistribution(theta_star=0.3, eta=0.1).sample(n, harness.trial_generator(5, 0))
+    plan = make_loo(n)
+    cv.cross_validate(plan, d, THRESH, ZERO_ONE)
+    assert "atoms" not in vars(plan)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cvbounds import bounds, harness, learners
+from cvbounds import bounds, harness, learners, resampling
 from cvbounds.harness import (
     DEFAULT_EPS_GRID,
     ExperimentConfig,
@@ -72,6 +72,21 @@ def test_run_trial_repeatable_and_aligned():
         assert dev[0] == abs(est.r_cv - est.r_tilde_n)
         assert dev[1] == est.r_cv - est.r_bar
         assert dev[2] == est.r_bar - est.r_tilde_n
+
+
+def test_run_trial_builds_plans_once_per_config(monkeypatch):
+    calls = []
+    make_kfold = resampling.make_kfold
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_kfold(*args, **kwargs)
+
+    monkeypatch.setattr(resampling, "make_kfold", counted)
+    cfg = small_config()
+    for t in range(5):
+        run_trial(cfg, t)
+    assert calls == [(20, 5)]
 
 
 def test_run_trial_lemma_flags_by_symmetry():
@@ -254,6 +269,20 @@ def test_attach_bound_branch_tags():
     lvo = PlanSpec(kind="lvo", v=2).build(8)
     _, branch_l = harness.attach_bound(lvo, 8, 0.3, 1)
     assert branch_l.startswith("sym:")
+
+
+def test_kfold_bound_only_for_partition_plans(monkeypatch):
+    def zero(q):
+        return bounds.BoundValue(
+            b_term=0.0, v_term=0.0, total=0.0, branch="stub",
+            log_b_term=-math.inf, log_v_term=-math.inf,
+        )
+
+    monkeypatch.setattr(bounds, "bound_kfold_combined", zero)
+    lvo = PlanSpec(kind="lvo", v=2).build(8)
+    assert harness.attach_bound(lvo, 8, 0.3, 1)[1].startswith("sym:")
+    kfold = PlanSpec(kind="kfold", k=5).build(100)
+    assert harness.attach_bound(kfold, 100, 0.3, 1) == (0.0, "kf:stub")
 
 
 def test_attach_bound_picks_the_smaller_family():

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from cvbounds import resampling
 from cvbounds.resampling import (
     BinaryVector,
@@ -266,3 +268,84 @@ def test_json_roundtrip_random_plans(seed):
     plan = make_custom(n, atoms, allow_unequal_test_sizes=True)
     back = plan_from_json(plan_to_json(plan))
     assert atom_set(back) == atom_set(plan)
+
+
+UNEQUAL = [((0, 1, 1, 1), 0.25), ((0, 0, 1, 1), 0.75)]
+THREE = [((0, 1, 1), 1 / 3), ((1, 0, 1), 1 / 3), ((1, 1, 0), 1 / 3)]
+
+BUILDER_CASES = [
+    (lambda: make_kfold(12, 3), lambda: oracles.ref_kfold(12, 3)),
+    (lambda: make_kfold(12, 4, shuffle_seed=11), lambda: oracles.ref_kfold(12, 4, 11)),
+    (lambda: make_kfold(5, 5, shuffle_seed=0), lambda: oracles.ref_kfold(5, 5, 0)),
+    (lambda: make_loo(7), lambda: oracles.ref_loo(7)),
+    (lambda: make_leave_v_out(7, 3), lambda: oracles.ref_leave_v_out(7, 3)),
+    (
+        lambda: make_leave_v_out(9, 2, mode="montecarlo", m=25, seed=4),
+        lambda: oracles.ref_leave_v_out(9, 2, "montecarlo", 25, 4),
+    ),
+    (lambda: make_holdout(10, 0.3, [7, 2, 2, 5]), lambda: oracles.ref_holdout(10, [7, 2, 5])),
+    (lambda: make_custom(3, THREE), lambda: oracles.ref_custom(3, THREE)),
+    (
+        lambda: make_custom(4, UNEQUAL, allow_unequal_test_sizes=True),
+        lambda: oracles.ref_custom(4, UNEQUAL),
+    ),
+]
+
+
+@pytest.mark.parametrize("build, reference", BUILDER_CASES)
+def test_builders_match_bitwise_reference(build, reference):
+    plan = build()
+    atoms, p, equal, text = reference()
+    assert [(v.bits, prob) for v, prob in plan.atoms] == atoms
+    assert plan.p == p
+    assert plan.equal_test_sizes is equal
+    assert plan_to_json(plan) == text
+
+
+def test_plan_arrays_are_read_only():
+    plan = make_kfold(6, 3)
+    for arr in (plan.train_matrix, plan.probs, plan.test_sizes, plan.train_index_matrix):
+        assert not arr.flags.writeable
+    assert plan.train_matrix.dtype == bool and plan.train_matrix.shape == (3, 6)
+
+
+def test_unequal_plan_has_no_index_matrices():
+    plan = make_custom(4, UNEQUAL, allow_unequal_test_sizes=True)
+    assert plan.test_sizes.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        plan.train_index_matrix  # noqa: B018
+    with pytest.raises(ValueError):
+        plan.test_index_matrix  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: make_kfold(12, 3), True),
+        (lambda: make_kfold(12, 4, shuffle_seed=5), True),
+        (lambda: make_loo(6), True),
+        (lambda: make_leave_v_out(6, 1), True),
+        (lambda: make_leave_v_out(6, 2), False),
+        (lambda: make_leave_v_out(6, 1, mode="montecarlo", m=6, seed=1), False),
+        (lambda: make_holdout(6, 0.5, [0, 1, 2]), False),
+        (lambda: make_custom(3, THREE), True),
+        # symmetric, every index left out once, but unequal weights
+        (lambda: make_custom(2, [((0, 1), 0.25), ((1, 0), 0.75)]), False),
+        # symmetric and uniform, but every index left out twice
+        (lambda: make_custom(3, [(tuple(1 - b for b in v), q) for v, q in THREE]), False),
+    ],
+)
+def test_partition_truth_table(build, expected):
+    assert build().partition is expected
+
+
+def test_loo_build_peak_memory_is_one_matrix():
+    n = 4000
+    tracemalloc.start()
+    try:
+        plan = make_loo(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.num_atoms == n
+    assert peak < 4 * n * n
