@@ -4,6 +4,11 @@ For a plan, a dataset, a hypothesis class, and a loss, the estimator is
 the plan-weighted average of test-mask risks of predictors fitted on the
 corresponding training masks. The plan is a finite distribution, so this
 is an exact sum over atoms; nothing is sampled here.
+
+Threshold ERM on the atoms of an equal-test-size plan runs through one
+kernel, threshold_atom_counts, which reads a learners.SortedSamples batch
+(the dataset sorted once) instead of sorting each training set; other
+classes and plans fit atom by atom through learners.erm_fit.
 """
 
 from __future__ import annotations
@@ -54,17 +59,13 @@ def _check_compatible(plan: ResamplingPlan, d: Dataset, loss: Loss) -> None:
     learners.check_zero_one_sample(d.x, d.y)
 
 
-def threshold_atom_counts(plan: ResamplingPlan, xs: np.ndarray, ys: np.ndarray):
-    """Exact threshold ERM on every atom of an equal-test-size plan, for a
-    stack of datasets xs, ys of shape (c, n). Returns the per-atom cuts and
-    integer test-error counts, both of shape (c, num_atoms)."""
-    c, a = xs.shape[0], plan.num_atoms
-    tim, tei = plan.train_index_matrix, plan.test_index_matrix
-    cuts, _ = learners._batch_threshold_erm(
-        xs[:, tim].reshape(c * a, -1), ys[:, tim].reshape(c * a, -1)
-    )
-    cuts = cuts.reshape(c, a)
-    counts = ((xs[:, tei] >= cuts[:, :, None]) != (ys[:, tei] > 0.5)).sum(axis=2)
+def threshold_atom_counts(plan: ResamplingPlan, batch: learners.SortedSamples):
+    """Exact threshold ERM on every atom of an equal-test-size plan, for the
+    c samples of a sorted batch. Returns the per-atom cuts and integer
+    test-error counts, both of shape (c, num_atoms)."""
+    tei = plan.test_index_matrix
+    cuts, _ = batch.leave_out(tei)
+    counts = ((batch.xs[:, tei] >= cuts[:, :, None]) != (batch.ys[:, tei] > 0.5)).sum(axis=2)
     return cuts, counts
 
 
@@ -72,7 +73,8 @@ def _atom_fits_and_counts(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass
     """Per-atom ERM fits plus integer test-error counts, in atom order."""
     _check_compatible(plan, d, loss)
     if cls.kind == "threshold" and plan.equal_test_sizes:
-        cuts, counts = threshold_atom_counts(plan, d.x[None, :], d.y[None, :])
+        batch = learners.SortedSamples(d.x[None, :], d.y[None, :])
+        cuts, counts = threshold_atom_counts(plan, batch)
         return [learners.ThresholdPredictor(float(t)) for t in cuts[0]], counts[0]
     fits = [learners.erm_fit(cls, v, d, loss) for v, _ in plan.atoms]
     test = ~plan.train_matrix

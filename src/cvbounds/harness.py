@@ -12,6 +12,11 @@ and draws n sample points first, then n label-flip uniforms, from
 Generator(Philox(key)). Any implementation following that recipe
 reproduces the same datasets bit for bit. Trials are independent, so
 execution order and chunking cannot change any reported number.
+
+run_experiment draws each chunk of trials as plain arrays, checks them
+once, and sorts them once into a learners.SortedSamples batch; the
+full-sample fits and the exact ERM of every atom of every plan all read
+that batch, at O(n log n + sum of test sizes) per trial.
 """
 
 from __future__ import annotations
@@ -374,26 +379,34 @@ class _PlanAccumulator:
 
 
 def _batch_labels(dist: SyntheticDistribution, n: int, master_seed: int, t0: int, t1: int):
+    """Samples of trials t0..t1-1 as (trials, n) feature and label arrays,
+    checked once for the domain of exact 0/1 ERM."""
     xs = np.empty((t1 - t0, n), dtype=np.float64)
     ys = np.empty((t1 - t0, n), dtype=np.float64)
     for i, t in enumerate(range(t0, t1)):
-        d = dist.sample(n, trial_generator(master_seed, t))
-        xs[i] = d.x
-        ys[i] = d.y
+        xs[i], ys[i] = dist.draw(n, trial_generator(master_seed, t))
+    if not np.isfinite(xs).all():
+        raise ValueError("features must be finite")
+    learners.check_zero_one_sample(xs, ys)
     return xs, ys
 
 
-def _chunk_size(plans) -> int:
-    rows_per_trial = sum(p.num_atoms * max(p.train_size, 1) for p in plans)
-    return max(1, min(2000, int(2e6 / max(rows_per_trial, 1))))
+def _chunk_size(n: int, plans) -> int:
+    """Trials per chunk: the sorted batch holds about n·log n keys per trial
+    and a plan's atoms about (test size + 1)·atoms more, each with some
+    150 bytes of temporaries, so a chunk stays near 75 MB."""
+    cells = (n + 1) * (n + 1).bit_length()
+    cells += sum(p.num_atoms * (p.test_size + 1) for p in plans)
+    return max(1, min(2000, int(5e5 / cells)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Aggregate cfg.trials deterministic trials into an ExperimentReport.
 
-    Trials run in chunks through batched exact threshold ERM over
-    trials x atoms (cv.threshold_atom_counts). Per-atom counts are exact
-    integers, so chunk size and execution order cannot affect the report.
+    Trials run in chunks, each sorted once, through batched exact
+    threshold ERM over trials x atoms (cv.threshold_atom_counts). Per-atom
+    counts are exact integers, so chunk size and execution order cannot
+    affect the report.
     """
     plans = cfg.built_plans()
     labels = [spec.label for spec in cfg.plans]
@@ -447,16 +460,15 @@ def _run_chunks(cfg: ExperimentConfig, accs) -> None:
     dist = cfg.dist
     n = cfg.n
     slope = 1.0 - 2.0 * cfg.eta
-    chunk = _chunk_size([acc.plan for acc in accs])
+    chunk = _chunk_size(n, [acc.plan for acc in accs])
     done = 0
     while done < cfg.trials:
         t1 = min(done + chunk, cfg.trials)
-        xs, ys = _batch_labels(dist, n, cfg.master_seed, done, t1)
-        t_full, errs_full = learners._batch_threshold_erm(xs, ys)
-        r_tilde = cfg.eta + slope * np.abs(t_full - cfg.theta_star)
+        batch = learners.SortedSamples(*_batch_labels(dist, n, cfg.master_seed, done, t1))
+        r_tilde = cfg.eta + slope * np.abs(batch.full_cuts - cfg.theta_star)
         for acc in accs:
             plan = acc.plan
-            _, counts = cv.threshold_atom_counts(plan, xs, ys)
+            _, counts = cv.threshold_atom_counts(plan, batch)
             # elementwise multiply + pairwise sum keeps the reduction
             # order fixed regardless of BLAS threading
             r_cv = (counts / plan.test_size * plan.probs[None, :]).sum(axis=1)
@@ -465,7 +477,7 @@ def _run_chunks(cfg: ExperimentConfig, accs) -> None:
                 acc.tail_counts[j] += int(np.count_nonzero(dev >= eps))
             acc.abs_devs.extend(dev.tolist())
             if acc.check_lemma:
-                ok = cv.lemma_holds(plan, counts, errs_full)
+                ok = cv.lemma_holds(plan, counts, batch.full_errs)
                 acc.lemma_violations += int(np.count_nonzero(~ok))
         done = t1
 

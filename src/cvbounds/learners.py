@@ -178,12 +178,16 @@ class SyntheticDistribution:
         """Minimal risk over all predictors, attained at t = theta_star."""
         return self.eta
 
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        """Draw n pairs: features first, then flip indicators."""
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw n (x, y) pairs as two arrays: features first, then flip
+        indicators."""
         x = rng.random(n)
         flips = rng.random(n) < self.eta
-        y = ((x >= self.theta_star) != flips).astype(np.float64)
-        return Dataset(x, y)
+        return x, ((x >= self.theta_star) != flips).astype(np.float64)
+
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
+        """Draw n pairs as a Dataset (see draw)."""
+        return Dataset(*self.draw(n, rng))
 
 
 def empirical_risk(phi, v: BinaryVector, d: Dataset, loss: Loss) -> float:
@@ -211,18 +215,24 @@ def _batch_threshold_erm(xs: np.ndarray, ys: np.ndarray):
     among minimizers the smallest cut wins (first argmin).
     """
     xs = np.asarray(xs, dtype=np.float64)
-    ys_int = np.asarray(ys).astype(np.int64)
-    bsz, m = xs.shape
     order = np.argsort(xs, axis=1, kind="stable")
     xs_s = np.take_along_axis(xs, order, axis=1)
-    ys_s = np.take_along_axis(ys_int, order, axis=1)
+    ys_s = np.take_along_axis(np.asarray(ys).astype(np.int64), order, axis=1)
+    errors, cuts, realizable = _cut_positions(xs_s, ys_s)
+    masked = np.where(realizable, errors, np.int64(xs.shape[1] + 1))
+    j_star = np.argmin(masked, axis=1)
+    rows = np.arange(xs.shape[0])
+    return cuts[rows, j_star], masked[rows, j_star]
+
+
+def _cut_positions(xs_s: np.ndarray, ys_s: np.ndarray):
+    """Error counts, cuts and realizability of the m + 1 cut positions of
+    sorted samples xs_s, ys_s (B, m). Position j predicts 0 for the first j
+    points and 1 for the rest."""
+    bsz, m = xs_s.shape
     prefix1 = np.zeros((bsz, m + 1), dtype=np.int64)
     np.cumsum(ys_s, axis=1, out=prefix1[:, 1:])
-    total1 = prefix1[:, -1:]
-    total0 = m - total1
-    positions = np.arange(m + 1, dtype=np.int64)
-    # errors at position j: first j sorted points predicted 0, rest 1
-    errors = 2 * prefix1 - positions[None, :] + total0
+    errors = 2 * prefix1 - np.arange(m + 1) + (m - prefix1[:, -1:])
     cuts = np.empty((bsz, m + 1), dtype=np.float64)
     cuts[:, 0] = 0.0
     cuts[:, m] = 1.0
@@ -234,10 +244,118 @@ def _batch_threshold_erm(xs: np.ndarray, ys: np.ndarray):
         cuts[:, 1:m] = mids
         # a midpoint must actually separate its neighbors after rounding
         realizable[:, 1:m] = (mids > xs_s[:, :-1]) & (mids <= xs_s[:, 1:])
-    masked = np.where(realizable, errors, np.int64(m + 1))
-    j_star = np.argmin(masked, axis=1)
-    rows = np.arange(bsz)
-    return cuts[rows, j_star], masked[rows, j_star]
+    return errors, cuts, realizable
+
+
+class SortedSamples:
+    """Exact threshold ERM for c samples of size n and for every subsample
+    that leaves out a set of indices, from one stable sort per sample.
+
+    Leaving a test set T out shifts the full-sample error curve E(j) by a
+    constant between consecutive test points: the test ones before j plus
+    the test zeros from j onwards. A sparse table of range minima over the
+    packed keys E(j)·(n+1) + j, E masked by the midpoint realizability rule,
+    answers each of the |T| + 1 stretches between test points in O(1) with
+    first-argmin ties (Bender & Farach-Colton 2000). Gaps whose training
+    neighbours straddle test points, and the two domain edges, are scored
+    from their actual training neighbours. Cuts, counts and tie-breaking
+    equal those of _batch_threshold_erm on each gathered training set.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.xs = np.asarray(xs, dtype=np.float64)
+        self.ys = np.asarray(ys, dtype=np.float64)
+        c, n = self.xs.shape
+        order = np.argsort(self.xs, axis=1, kind="stable")
+        # rank_t[i, t]: sorted position of index i in sample t
+        self.rank_t = np.empty((n, c), dtype=np.intp)
+        self.rank_t[order, np.arange(c)[:, None]] = np.arange(n)
+        self.xs_s = np.take_along_axis(self.xs, order, axis=1)
+        self.ys_s = np.take_along_axis(self.ys.astype(np.int64), order, axis=1)
+        self.errors, cuts, realizable = _cut_positions(self.xs_s, self.ys_s)
+        # above any training error even after the largest shift
+        masked = np.where(realizable, self.errors, np.int64(2 * n + 1))
+        keys = masked * (n + 1) + np.arange(n + 1)
+        best = keys.min(axis=1)
+        self.full_cuts = cuts[np.arange(c), best % (n + 1)]
+        self.full_errs = best // (n + 1)
+        # level k holds the minimum of keys[i : i + 2**k], clipped at the end
+        self.table = np.empty(((n + 1).bit_length(), c, n + 1), dtype=np.int64)
+        self.table[0] = keys
+        for k in range(1, len(self.table)):
+            h = 1 << (k - 1)
+            prev, cur = self.table[k - 1], self.table[k]
+            np.minimum(prev[:, :-h], prev[:, h:], out=cur[:, :-h])
+            cur[:, -h:] = prev[:, -h:]
+        # floor(log2(length)) for every query length 1..n+1
+        self.level = np.zeros(n + 2, dtype=np.intp)
+        self.level[2:] = np.log2(np.arange(2, n + 2)).astype(np.intp)
+
+    def _range_min(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Minimum key over positions lo..hi (inclusive, lo <= hi) of each
+        sample; the last axis of lo and hi runs over the samples."""
+        _, c, width = self.table.shape
+        level = self.level[hi - lo + 1]
+        row = (level * c + np.arange(c)) * width
+        flat = self.table.reshape(-1)
+        return np.minimum(flat[row + lo], flat[row + hi + 1 - (1 << level)])
+
+    def leave_out(self, test_idx: np.ndarray):
+        """ERM cuts and training-error counts, shape (c, a), of the training
+        sets that leave out the index rows of test_idx (a, v), v >= 1."""
+        c, n = self.xs.shape
+        test_idx = np.asarray(test_idx)
+        a, v = test_idx.shape
+        w = n + 1
+        big = np.int64(2 * n + 1) * w
+        at_n, at_w = np.arange(c) * n, np.arange(c) * w
+        xs_s, errors = self.xs_s.reshape(-1), self.errors.reshape(-1)
+        # arrays are (stretch or test point, atom, sample)
+        pos = self.rank_t[test_idx.T]
+        pos.sort(axis=0)
+        ones = np.zeros((v + 1, a, c), dtype=np.int64)
+        np.cumsum(self.ys_s.reshape(-1)[pos + at_n], axis=0, out=ones[1:])
+        # stretch s sees E shifted by the test ones before it and the test
+        # zeros from it on: 2·ones[s] - s + (v - ones[v])
+        shift = (2 * ones - np.arange(v + 1)[:, None, None] + (v - ones[-1])) * w
+        # stretch s holds the training points at sorted positions lo..hi
+        lo = np.empty_like(ones)
+        lo[0] = 0
+        np.add(pos, 1, out=lo[1:])
+        hi = np.empty_like(ones)
+        np.subtract(pos, 1, out=hi[:-1])
+        hi[-1] = n - 1
+        # inner gaps lo+1..hi: both neighbours are adjacent training points
+        inner = lo < hi
+        found = self._range_min(np.where(inner, lo + 1, 0), np.where(inner, hi, 0))
+        best = np.where(inner, found - shift, big).min(axis=0)
+        # the gap before each stretch's first point, from its real neighbours
+        filled = lo <= hi
+        first = np.minimum(lo, n - 1)
+        left = np.empty_like(ones)
+        left[0] = -1
+        np.maximum.accumulate(np.where(filled, hi, -1)[:-1], axis=0, out=left[1:])
+        x_first = xs_s[first + at_n]
+        x_left = xs_s[np.maximum(left, 0) + at_n]
+        mids = 0.5 * (x_left + x_first)
+        ok = filled & np.where(left < 0, x_first >= 0.0, (mids > x_left) & (mids <= x_first))
+        gap = errors[first + at_w] * w + first - shift
+        np.minimum(best, np.where(ok, gap, big).min(axis=0), out=best)
+        # the right domain edge predicts 0 everywhere, so the training ones
+        # err: all ones, E(n), less the test ones
+        last = np.where(filled[-1], n - 1, left[-1])
+        right = (errors[at_w + n] - ones[-1]) * w + n
+        np.minimum(best, np.where(xs_s[last + at_n] < 1.0, right, big), out=best)
+        # winning position g -> training gap j: its neighbours are the
+        # training points of ranks j - 1 and j, the latter at position g
+        g = best % w
+        j = g - (pos < g).sum(axis=0)
+        before = np.maximum(j - 1, 0)
+        left_g = before + (pos - np.arange(v)[:, None, None] <= before).sum(axis=0)
+        mid = 0.5 * (xs_s[left_g + at_n] + xs_s[np.minimum(g, n - 1) + at_n])
+        cuts = np.where(g == n, 1.0, np.where(j == 0, 0.0, mid))
+        # C order, as the callers' float reductions over atoms assume
+        return np.ascontiguousarray(cuts.T), np.ascontiguousarray((best // w).T)
 
 
 def _threshold_erm(x: np.ndarray, y: np.ndarray):

@@ -24,6 +24,7 @@ import numpy as np
 PROB_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 DEFAULT_ATOM_CAP = 10**6
+_CAST_BUDGET = 1 << 23  # bytes of float64 per block in train_probability
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,6 @@ class ResamplingPlan:
         )
 
     @cached_property
-    def train_index_matrix(self) -> np.ndarray:
-        """(num_atoms, train_size) int matrix of training indices per atom."""
-        out = np.nonzero(self.train_matrix)[1].reshape(self.num_atoms, self.train_size)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def test_index_matrix(self) -> np.ndarray:
         """(num_atoms, test_size) int matrix of test indices per atom."""
         out = np.nonzero(~self.train_matrix)[1].reshape(self.num_atoms, self.test_size)
@@ -167,17 +161,31 @@ class ResamplingPlan:
         return self.uniform and bool(np.all(self.train_matrix.sum(axis=0) == self.num_atoms - 1))
 
     def train_probability(self) -> np.ndarray:
-        """Per-index probability of landing in the training set."""
-        return self.train_matrix.T.astype(np.float64) @ self.probs
+        """Per-index probability of landing in the training set.
+
+        Columns are cast to float64 a block at a time, about 8 MB and at
+        least 32 columns, instead of the whole matrix at once; blocks of a
+        multiple of 32 columns keep the BLAS sums of the one-block product.
+        """
+        width = max(32, _CAST_BUDGET // (8 * self.num_atoms) // 32 * 32)
+        out = np.empty(self.n, dtype=np.float64)
+        for j in range(0, self.n, width):
+            block = self.train_matrix[:, j : j + width].T.astype(np.float64)
+            out[j : j + width] = block @ self.probs
+        return out
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        probs = self.train_probability()
+        return float(probs.max() - probs.min()) <= SYMMETRY_TOL
 
     def symmetric(self) -> bool:
         """Whether every index has the same training probability.
 
         This is the applicability condition for the crossing bounds; a
-        hold-out plan with 0 < p < 1 always fails it.
+        hold-out plan with 0 < p < 1 always fails it. Computed once per plan.
         """
-        probs = self.train_probability()
-        return float(probs.max() - probs.min()) <= SYMMETRY_TOL
+        return self._symmetric
 
 
 def _assemble(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -343,3 +344,58 @@ def test_default_acceptance_configs_shape():
         if cfg.n == 20:
             assert labels == ["kfold-2", "kfold-5", "kfold-10", "loo"]
         cfg.validate()
+
+
+def test_batch_labels_match_stacked_samples():
+    dist = learners.SyntheticDistribution(theta_star=0.3, eta=0.2)
+    xs, ys = harness._batch_labels(dist, 9, 17, 4, 11)
+    for i, t in enumerate(range(4, 11)):
+        d = dist.sample(9, trial_generator(17, t))
+        assert xs[i].tobytes() == d.x.tobytes()
+        assert ys[i].tobytes() == d.y.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    cfg = small_config(
+        n=12,
+        trials=40,
+        plans=(
+            PlanSpec(kind="kfold", k=3),
+            PlanSpec(kind="loo"),
+            PlanSpec(kind="lvo", v=2),
+            PlanSpec(kind="holdout", p=0.25),
+        ),
+    )
+    whole = run_experiment(cfg)
+    if chunk is not None:
+        monkeypatch.setattr(harness, "_chunk_size", lambda n, plans: chunk)
+    else:
+        assert harness._chunk_size(cfg.n, cfg.built_plans()) >= cfg.trials
+    report = run_experiment(cfg)
+    assert report.to_json() == whole.to_json()
+    assert report.to_csv() == whole.to_csv()
+
+
+# SHA-256 of to_json() + to_csv() of the nine acceptance-grid reports at 300
+# trials, computed with the per-atom sort kernel that preceded SortedSamples.
+GRID_300_DIGESTS = {
+    "n=20,eta=0.0": "af303ddb0f0bf417120fd3430cf7e413567b8f32551e2df941a037e3540edb53",
+    "n=20,eta=0.1": "6313026a3168757cb00f62539957d9c54d9bc2f02406bf472021cd3f65d40b88",
+    "n=20,eta=0.3": "61da587e23d249f206c4f51789f8757f571db3fe3b36489e828bac4aabcc6322",
+    "n=50,eta=0.0": "76da61bfc2f9be0fb190eaf4a5a0d078f48f0b1e019d246db044e3983e2ad1ec",
+    "n=50,eta=0.1": "25d1d4df6e37c2b39b8a0f7b63adf5dc1652224cf5e3c766499106c68082703a",
+    "n=50,eta=0.3": "9cd12496bf77457549fc63a1a398ecd6faee8b6c8a38336f3a3ecf407358c626",
+    "n=100,eta=0.0": "2e7b7d85ea6fb2b38ce6aa5f33d51e28e0d3585397ccf274b27ecaa50cce1e6b",
+    "n=100,eta=0.1": "4df275c69907f727b7b966cc24f1bb6f1dc197247e61f0f48af6e0ac66959f62",
+    "n=100,eta=0.3": "f3be531737d46500bb754341936ad6f342c54f4a115feb96a8ec6b14b4fe6a64",
+}
+
+
+def test_acceptance_grid_report_bytes_are_pinned():
+    got = {}
+    for cfg in harness.default_acceptance_configs(trials=300):
+        report = run_experiment(cfg)
+        text = report.to_json() + report.to_csv()
+        got[f"n={cfg.n},eta={cfg.eta}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GRID_300_DIGESTS

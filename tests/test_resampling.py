@@ -216,10 +216,9 @@ def test_probs_and_matrices_are_consistent():
     assert plan.probs.shape == (plan.num_atoms,)
     assert math.fsum(plan.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
     assert plan.train_matrix.shape == (plan.num_atoms, 5)
-    assert plan.train_index_matrix.shape == (plan.num_atoms, 3)
     assert plan.test_index_matrix.shape == (plan.num_atoms, 2)
     for a in range(plan.num_atoms):
-        train = set(plan.train_index_matrix[a].tolist())
+        train = set(np.flatnonzero(plan.train_matrix[a]).tolist())
         test = set(plan.test_index_matrix[a].tolist())
         assert train | test == set(range(5)) and not train & test
 
@@ -304,7 +303,7 @@ def test_builders_match_bitwise_reference(build, reference):
 
 def test_plan_arrays_are_read_only():
     plan = make_kfold(6, 3)
-    for arr in (plan.train_matrix, plan.probs, plan.test_sizes, plan.train_index_matrix):
+    for arr in (plan.train_matrix, plan.probs, plan.test_sizes, plan.test_index_matrix):
         assert not arr.flags.writeable
     assert plan.train_matrix.dtype == bool and plan.train_matrix.shape == (3, 6)
 
@@ -312,8 +311,6 @@ def test_plan_arrays_are_read_only():
 def test_unequal_plan_has_no_index_matrices():
     plan = make_custom(4, UNEQUAL, allow_unequal_test_sizes=True)
     assert plan.test_sizes.tolist() == [1, 2]
-    with pytest.raises(ValueError):
-        plan.train_index_matrix  # noqa: B018
     with pytest.raises(ValueError):
         plan.test_index_matrix  # noqa: B018
 
@@ -349,3 +346,40 @@ def test_loo_build_peak_memory_is_one_matrix():
         tracemalloc.stop()
     assert plan.num_atoms == n
     assert peak < 4 * n * n
+
+
+def test_symmetric_verdict_is_cached_and_casts_no_full_matrix(monkeypatch):
+    n = 4000
+    plan = make_loo(n)
+    tracemalloc.start()
+    try:
+        assert plan.symmetric()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n
+
+    def no_recompute(self):
+        raise AssertionError("symmetric() recomputed the training probabilities")
+
+    monkeypatch.setattr(resampling.ResamplingPlan, "train_probability", no_recompute)
+    assert plan.symmetric()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for build, _ in BUILDER_CASES]
+    + [
+        lambda: make_loo(300),
+        lambda: make_kfold(240, 8, shuffle_seed=3),
+        lambda: make_leave_v_out(30, 3),
+        lambda: make_leave_v_out(100, 3, mode="montecarlo", m=1000, seed=5),
+        lambda: make_holdout(50, 0.2, range(10, 20)),
+    ],
+)
+def test_train_probability_matches_one_float_product(build):
+    plan = build()
+    want = plan.train_matrix.T.astype(np.float64) @ plan.probs
+    got = plan.train_probability()
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert plan.symmetric() is (float(want.max() - want.min()) <= resampling.SYMMETRY_TOL)
