@@ -59,14 +59,28 @@ def _check_compatible(plan: ResamplingPlan, d: Dataset, loss: Loss) -> None:
     learners.check_zero_one_sample(d.x, d.y)
 
 
+# Cells, (test size + 1) per atom per sample, that the atom kernel handles
+# at once; SortedSamples.leave_out holds about 150 bytes of temporaries each.
+CELL_BUDGET = 500_000
+
+
 def threshold_atom_counts(plan: ResamplingPlan, batch: learners.SortedSamples):
     """Exact threshold ERM on every atom of an equal-test-size plan, for the
     c samples of a sorted batch. Returns the per-atom cuts and integer
-    test-error counts, both of shape (c, num_atoms)."""
+    test-error counts, both C-order arrays of shape (c, num_atoms). Atoms
+    run in blocks of at most CELL_BUDGET cells, so memory stays bounded
+    whatever the number of atoms."""
     tei = plan.test_index_matrix
-    cuts, _ = batch.leave_out(tei)
-    counts = ((batch.xs[:, tei] >= cuts[:, :, None]) != (batch.ys[:, tei] > 0.5)).sum(axis=2)
-    return cuts, counts
+    c = batch.xs.shape[0]
+    step = max(1, CELL_BUDGET // (c * (plan.test_size + 1)))
+    cuts, counts = [], []
+    for lo in range(0, plan.num_atoms, step):
+        block = tei[lo : lo + step]
+        cut, _ = batch.leave_out(block)
+        cuts.append(cut)
+        wrong = (batch.xs[:, block] >= cut[:, :, None]) != (batch.ys[:, block] > 0.5)
+        counts.append(wrong.sum(axis=2))
+    return np.concatenate(cuts, axis=1), np.concatenate(counts, axis=1)
 
 
 def _atom_fits_and_counts(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss):

@@ -13,6 +13,13 @@ Generator(Philox(key)). Any implementation following that recipe
 reproduces the same datasets bit for bit. Trials are independent, so
 execution order and chunking cannot change any reported number.
 
+The harness follows the recipe for a whole chunk of trials at once, in
+array arithmetic: the SplitMix64 keys of every trial, the Philox4x64-10
+blocks under each key for counters (b, 0, 0, 0), b = 1, 2, ..., and the
+doubles (word >> 11)·2^-53 that Generator.random makes of their words
+(_trial_uniforms; run_trial uses the same sampler for one trial).
+trial_generator is the reference it is tested against bit for bit.
+
 run_experiment draws each chunk of trials as plain arrays, checks them
 once, and sorts them once into a learners.SortedSamples batch; the
 full-sample fits and the exact ERM of every atom of every plan all read
@@ -58,8 +65,80 @@ def trial_key(master_seed: int, trial_id: int) -> tuple[int, int]:
 
 
 def trial_generator(master_seed: int, trial_id: int) -> np.random.Generator:
+    """The generator of one trial: the reference for _trial_uniforms."""
     key = np.array(trial_key(master_seed, trial_id), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 on a uint64 array, wrapping mod 2^64."""
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _trial_keys(master_seed: int, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """trial_key of trials t0..t1-1 as two uint64 arrays."""
+    if t0 < 0:
+        raise ValueError("trial_id must be nonnegative")
+    base = (master_seed + (2 * t0 + 1) * GOLDEN) & MASK64
+    z = np.arange(t1 - t0, dtype=np.uint64) * np.uint64(2 * GOLDEN & MASK64)
+    z += np.uint64(base)
+    return _mix64(z), _mix64(z + np.uint64(GOLDEN))
+
+
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a·m, from 32-bit halves
+    (Warren, Hacker's Delight, mulhu)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _M32, a >> _S32
+    t = a_lo * m_lo
+    t >>= _S32
+    t += a_hi * m_lo
+    w = t & _M32
+    w += a_lo * m_hi
+    hi = a_hi * m_hi
+    hi += t >> _S32
+    hi += w >> _S32
+    return hi, a * np.uint64(m)
+
+
+def _philox_words(k0: np.ndarray, k1: np.ndarray, m: int) -> np.ndarray:
+    """The first m raw words of Philox4x64-10 under each key (k0[i], k1[i]),
+    shape (keys, m): blocks of counters (b, 0, 0, 0) for b = 1, 2, ...,
+    words v0..v3 of each, as np.random.Philox(key).random_raw(m) gives."""
+    blocks = -(-m // 4)
+    k0, k1 = k0[:, None], k1[:, None]
+    # the first round's counters are the same for every key
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_BUMP[0]
+            k1 = k1 + _PHILOX_BUMP[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        hi1 ^= c1
+        hi0 ^= c3
+        c0, c1, c2, c3 = hi1 ^ k0, lo1, hi0 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k0), 4 * blocks)[:, :m]
+
+
+def _trial_uniforms(master_seed: int, t0: int, t1: int, m: int) -> np.ndarray:
+    """The first m doubles of trial_generator(master_seed, t).random for
+    trials t0..t1-1, shape (t1 - t0, m): (word >> 11)·2^-53."""
+    words = _philox_words(*_trial_keys(master_seed, t0, t1), m)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -247,8 +326,8 @@ class TrialRecord:
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     """Run one fully deterministic trial: record depends only on (cfg, trial_id)."""
     plans = cfg.built_plans()
-    rng = trial_generator(cfg.master_seed, trial_id)
-    d = cfg.dist.sample(cfg.n, rng)
+    xs, ys = _batch_labels(cfg.dist, cfg.n, cfg.master_seed, trial_id, trial_id + 1)
+    d = Dataset(xs[0], ys[0])
     ests = []
     devs = []
     lemma = []
@@ -381,10 +460,7 @@ class _PlanAccumulator:
 def _batch_labels(dist: SyntheticDistribution, n: int, master_seed: int, t0: int, t1: int):
     """Samples of trials t0..t1-1 as (trials, n) feature and label arrays,
     checked once for the domain of exact 0/1 ERM."""
-    xs = np.empty((t1 - t0, n), dtype=np.float64)
-    ys = np.empty((t1 - t0, n), dtype=np.float64)
-    for i, t in enumerate(range(t0, t1)):
-        xs[i], ys[i] = dist.draw(n, trial_generator(master_seed, t))
+    xs, ys = dist.from_uniforms(_trial_uniforms(master_seed, t0, t1, 2 * n))
     if not np.isfinite(xs).all():
         raise ValueError("features must be finite")
     learners.check_zero_one_sample(xs, ys)
@@ -394,10 +470,11 @@ def _batch_labels(dist: SyntheticDistribution, n: int, master_seed: int, t0: int
 def _chunk_size(n: int, plans) -> int:
     """Trials per chunk: the sorted batch holds about n·log n keys per trial
     and a plan's atoms about (test size + 1)·atoms more, each with some
-    150 bytes of temporaries, so a chunk stays near 75 MB."""
+    150 bytes of temporaries, so a chunk stays near cv.CELL_BUDGET cells.
+    Plans too large for one trial are split by cv.threshold_atom_counts."""
     cells = (n + 1) * (n + 1).bit_length()
     cells += sum(p.num_atoms * (p.test_size + 1) for p in plans)
-    return max(1, min(2000, int(5e5 / cells)))
+    return max(1, min(2000, cv.CELL_BUDGET // cells))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -468,9 +545,10 @@ def _run_chunks(cfg: ExperimentConfig, accs) -> None:
         r_tilde = cfg.eta + slope * np.abs(batch.full_cuts - cfg.theta_star)
         for acc in accs:
             plan = acc.plan
-            _, counts = cv.threshold_atom_counts(plan, batch)
-            # elementwise multiply + pairwise sum keeps the reduction
-            # order fixed regardless of BLAS threading
+            # elementwise multiply + pairwise sum keeps the reduction order
+            # fixed regardless of BLAS threading; that order follows the
+            # memory layout, so the counts are read in C order
+            counts = np.ascontiguousarray(cv.threshold_atom_counts(plan, batch)[1])
             r_cv = (counts / plan.test_size * plan.probs[None, :]).sum(axis=1)
             dev = np.abs(r_cv - r_tilde)
             for j, eps in enumerate(cfg.eps_grid):

@@ -178,12 +178,17 @@ class SyntheticDistribution:
         """Minimal risk over all predictors, attained at t = theta_star."""
         return self.eta
 
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n (x, y) pairs as two arrays: features first, then flip
-        indicators."""
-        x = rng.random(n)
-        flips = rng.random(n) < self.eta
+    def from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Samples of n pairs from uniforms u of shape (..., 2n): the first
+        n are the features, the next n flip their labels below eta."""
+        n = u.shape[-1] // 2
+        x = u[..., :n]
+        flips = u[..., n : 2 * n] < self.eta
         return x, ((x >= self.theta_star) != flips).astype(np.float64)
+
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw n (x, y) pairs as two arrays from 2n uniforms of rng."""
+        return self.from_uniforms(rng.random(2 * n))
 
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         """Draw n pairs as a Dataset (see draw)."""

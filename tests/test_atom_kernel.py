@@ -4,10 +4,11 @@ learners.SortedSamples and cv.threshold_atom_counts are checked against
 per-atom learners._batch_threshold_erm on each gathered training set and
 against the loop oracle, on data built to hit ties, duplicate features,
 adjacent floats and the 0/1 domain edges, for every builder that makes
-equal-test-size plans.
+equal-test-size plans, with atoms in one block and in many.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,3 +141,48 @@ def test_kernel_edge_cases(name):
             plans.append(make_holdout(n, v / n, test))
     for plan in plans:
         check_plan(plan, xs, ys)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_atom_blocks_match_one_block(monkeypatch, budget):
+    rng = np.random.default_rng(3)
+    xs = rng.choice(POOL, size=(3, 10))
+    ys = rng.integers(0, 2, size=(3, 10)).astype(np.float64)
+    plans = [
+        make_loo(10),
+        make_kfold(10, 5),
+        make_leave_v_out(10, 3),
+        make_leave_v_out(10, 2, mode="montecarlo", m=9, seed=1),
+    ]
+    batch = learners.SortedSamples(xs, ys)
+    whole = [cv.threshold_atom_counts(plan, batch) for plan in plans]
+    monkeypatch.setattr(cv, "CELL_BUDGET", budget)
+    for plan, (cuts, counts) in zip(plans, whole):
+        got_cuts, got_counts = cv.threshold_atom_counts(plan, batch)
+        assert np.array_equal(got_cuts, cuts) and np.array_equal(got_counts, counts)
+        assert got_cuts.flags.c_contiguous and got_counts.flags.c_contiguous
+        check_plan(plan, xs, ys)
+
+
+def test_atom_kernel_memory_is_bounded_by_blocks():
+    plan = make_leave_v_out(20, 10)  # 184,756 atoms, about 2·10^6 cells
+    tei = plan.test_index_matrix
+    rng = np.random.default_rng(0)
+    xs = rng.random((1, 20))
+    ys = (rng.random((1, 20)) < 0.5).astype(np.float64)
+    batch = learners.SortedSamples(xs, ys)
+    tracemalloc.start()
+    try:
+        cuts, counts = cv.threshold_atom_counts(plan, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all atoms in one block peak near 215 MB
+    assert peak < 60 * 2**20
+    sel = np.sort(rng.choice(plan.num_atoms, 2000, replace=False))
+    one_block, _ = batch.leave_out(tei[sel])
+    assert np.array_equal(cuts[:, sel], one_block)
+    want_cuts, _ = reference(xs, ys, tei[sel])
+    assert np.array_equal(cuts[:, sel], want_cuts)
+    wrong = (xs[:, tei[sel]] >= want_cuts[:, :, None]) != (ys[:, tei[sel]] > 0.5)
+    assert np.array_equal(counts[:, sel], wrong.sum(axis=2))

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from cvbounds import bounds, harness, learners, resampling
+from cvbounds import bounds, cv, harness, learners, resampling
 from cvbounds.harness import (
     DEFAULT_EPS_GRID,
     ExperimentConfig,
@@ -355,6 +357,87 @@ def test_batch_labels_match_stacked_samples():
         assert ys[i].tobytes() == d.y.tobytes()
 
 
+SAMPLER_SEEDS = (0, -1, 2**63 + 5, 2**64 + 3, 2**70)
+SAMPLER_T0 = (0, 4, 2**40)
+
+
+def assert_chunk_matches_trial_generator(dist, n, seed, t0, t1):
+    xs, ys = harness._batch_labels(dist, n, seed, t0, t1)
+    assert xs.shape == ys.shape == (t1 - t0, n)
+    want = [dist.sample(n, trial_generator(seed, t)) for t in range(t0, t1)]
+    assert xs.tobytes() == np.stack([d.x for d in want]).tobytes()
+    assert ys.tobytes() == np.stack([d.y for d in want]).tobytes()
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+@pytest.mark.parametrize("t0", SAMPLER_T0)
+def test_trial_keys_match_trial_key(seed, t0):
+    k0, k1 = harness._trial_keys(seed, t0, t0 + 6)
+    assert k0.dtype == k1.dtype == np.uint64
+    assert list(zip(k0.tolist(), k1.tolist())) == [trial_key(seed, t) for t in range(t0, t0 + 6)]
+
+
+def test_trial_keys_reject_negative_trials():
+    with pytest.raises(ValueError):
+        harness._trial_keys(0, -1, 3)
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+@pytest.mark.parametrize("t0", SAMPLER_T0)
+def test_philox_words_match_numpy_philox(seed, t0):
+    # 2n words for n = 2, 3 (the last block half used), 7 and 20, and
+    # lengths that end inside a block
+    for m in (1, 3, 4, 5, 6, 14, 40):
+        words = harness._philox_words(*harness._trial_keys(seed, t0, t0 + 3), m)
+        assert words.dtype == np.uint64 and words.shape == (3, m)
+        for i, t in enumerate(range(t0, t0 + 3)):
+            key = np.array(trial_key(seed, t), dtype=np.uint64)
+            assert np.array_equal(words[i], np.random.Philox(key=key).random_raw(m))
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+@pytest.mark.parametrize("t0", SAMPLER_T0)
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+def test_batch_labels_match_trial_generator(seed, t0, n):
+    dist = learners.SyntheticDistribution(theta_star=0.3, eta=0.2)
+    assert_chunk_matches_trial_generator(dist, n, seed, t0, t0 + 5)
+
+
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    t0=st.integers(0, 2**62),
+    length=st.integers(1, 12),
+    n=st.integers(2, 41),
+    eta=st.sampled_from([0.0, 0.1, 0.3]),
+)
+def test_batch_labels_match_trial_generator_property(seed, t0, length, n, eta):
+    dist = learners.SyntheticDistribution(theta_star=0.3, eta=eta)
+    assert_chunk_matches_trial_generator(dist, n, seed, t0, t0 + length)
+
+
+def test_draw_reads_features_then_flips():
+    dist = learners.SyntheticDistribution(theta_star=0.3, eta=0.2)
+    rng = trial_generator(5, 2)
+    x_ref = rng.random(11)
+    flips = rng.random(11) < dist.eta
+    x, y = dist.draw(11, trial_generator(5, 2))
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.array_equal(y, ((x_ref >= dist.theta_star) != flips).astype(np.float64))
+
+
+def test_harness_builds_no_philox_per_trial(monkeypatch):
+    cfg = small_config(trials=30)
+    want = run_experiment(cfg).to_json()
+    rec = run_trial(cfg, 3)
+
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a Philox generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    assert run_experiment(cfg).to_json() == want
+    assert run_trial(cfg, 3) == rec
+
+
 @pytest.mark.parametrize("chunk", [1, 7, None])
 def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk):
     cfg = small_config(
@@ -372,6 +455,26 @@ def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk):
         monkeypatch.setattr(harness, "_chunk_size", lambda n, plans: chunk)
     else:
         assert harness._chunk_size(cfg.n, cfg.built_plans()) >= cfg.trials
+    report = run_experiment(cfg)
+    assert report.to_json() == whole.to_json()
+    assert report.to_csv() == whole.to_csv()
+
+
+def test_report_bytes_do_not_depend_on_count_layout(monkeypatch):
+    cfg = small_config(
+        n=20,
+        trials=60,
+        plans=(PlanSpec(kind="loo"), PlanSpec(kind="kfold", k=10), PlanSpec(kind="lvo", v=2)),
+    )
+    whole = run_experiment(cfg)
+    kernel = cv.threshold_atom_counts
+
+    def fortran(plan, batch):
+        cuts, counts = kernel(plan, batch)
+        return np.asfortranarray(cuts), np.asfortranarray(counts)
+
+    monkeypatch.setattr(cv, "threshold_atom_counts", fortran)
+    monkeypatch.setattr(harness, "_chunk_size", lambda n, plans: 7)
     report = run_experiment(cfg)
     assert report.to_json() == whole.to_json()
     assert report.to_csv() == whole.to_csv()
