@@ -19,7 +19,9 @@ def main(argv=None) -> int:
     ap.add_argument("--strict-proposition", action="store_true")
     args = ap.parse_args(argv)
 
-    for proc in bounds.PROCEDURES:
+    for proc, entry in bounds.REGISTRY.items():
+        if not entry.reads_eps:
+            continue
         curve = bounds.estimation_curve(
             args.n,
             args.eps,

@@ -11,24 +11,29 @@ Also here: the L1 (expected absolute deviation) bounds, the estimation
 curve p -> b_term + v_term with branch-transition detection, the optimal
 training/test split rules, and the grid search for the smallest
 confidence-interval half-width meeting a target level.
+
+REGISTRY is the one table of procedures: each name maps to its
+evaluator, its admissible test fractions, the optional inputs it reads
+and, for the bounds the Monte Carlo harness attaches, a branch-tag prefix
+and the test on a plan's structure that says the bound applies. The
+evaluators, the curve, the interval search, the harness and the CLI read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 LOG_OVERFLOW = 709.0
 GRID_TOL = 1e-9
 
-PROCEDURES = (
-    "symmetric-large",
-    "symmetric-small",
-    "symmetric-combined",
-    "kfold",
-    "holdout",
-)
-L1_PROCEDURES = ("l1-large", "l1-small", "l1-chained")
+# (extra doublings, scale) of the improved k-fold exponent, k = 1/p:
+# 2^(k + extra) exp(-n eps^2 / (scale (sqrt(vc ln(2(2np+1))) + 2))).
+# The standalone term and branch 3 of bound_kfold_combined carry
+# different constants; tests/oracles.py pins each one.
+IMPROVED_STANDALONE = (0, 64.0)
+IMPROVED_IN_COMBINED = (1, 25.0 * 64.0)
 
 
 class InfeasibleCiError(ValueError):
@@ -45,6 +50,12 @@ def fold_count(p: float) -> int | None:
     """The integer k with p = 1/k (within GRID_TOL), or None; needs p > 0."""
     k = round(1.0 / p)
     return k if abs(1.0 / p - k) <= GRID_TOL else None
+
+
+def sampling_slack(phat: float, m: int) -> float:
+    """Monte Carlo allowance on a frequency phat over m draws: three
+    binomial standard errors, 3 sqrt(phat (1 - phat) / m)."""
+    return 3.0 * math.sqrt(phat * (1.0 - phat) / m)
 
 
 @dataclass(frozen=True)
@@ -112,10 +123,46 @@ def _log_poly(n: int, p: float, vc: int) -> float:
     return (4.0 * vc / (1.0 - p)) * math.log(2.0 * n * (1.0 - p) + 1.0)
 
 
-def _log_small_test(n: int, p: float, eps: float, vc: int, strict: bool) -> float:
-    inner = vc * (math.log(2.0 * n * (1.0 - p) + 1.0) + 4.0) / (n * (1.0 - p))
-    factor = 1.0 / (16.0 * eps) if strict else 16.0 / eps
-    return math.log(factor) + 0.5 * math.log(inner)
+def _log_train(q: BoundQuery, lead: float = 5.0, scale: float = 64.0) -> float:
+    """log of lead (2n(1-p)+1)^(4vc/(1-p)) exp(-n eps^2/scale)."""
+    return math.log(lead) + _log_poly(q.n, q.p, q.vc) - q.n * q.eps**2 / scale
+
+
+def _log_hoeffding(q: BoundQuery) -> float:
+    """log of exp(-2np eps^2/25), the Hoeffding-type test-side term."""
+    return -2.0 * q.n * q.p * q.eps**2 / 25.0
+
+
+def _small_test_inner(n: int, p: float, vc: int) -> float:
+    """vc (ln(2n(1-p)+1) + 4) / (n(1-p))."""
+    return vc * (math.log(2.0 * n * (1.0 - p) + 1.0) + 4.0) / (n * (1.0 - p))
+
+
+def _log_small_test(q: BoundQuery) -> float:
+    factor = 1.0 / (16.0 * q.eps) if q.strict_proposition else 16.0 / q.eps
+    return math.log(factor) + 0.5 * math.log(_small_test_inner(q.n, q.p, q.vc))
+
+
+def _log_improved(n: int, p: float, k: int, eps: float, vc: int, constants) -> float:
+    """log of the improved k-fold term under (extra doublings, scale)."""
+    doublings, scale = constants
+    denom = scale * (math.sqrt(vc * math.log(2.0 * (2.0 * n * p + 1.0))) + 2.0)
+    return (k + doublings) * math.log(2.0) - n * eps**2 / denom
+
+
+def improved_kfold_folds(n: int, p: float, eps: float, vc: int) -> int | None:
+    """k = 1/p if p < 1/2, 1/p is an integer, eps > 0, vc >= 1 and n >= 2
+    (where the improved k-fold term is defined), else None."""
+    if not (0.0 < p < 0.5 and eps > 0.0 and vc >= 1 and n >= 2):
+        return None
+    return fold_count(p)
+
+
+def _log_improved_standalone(n: int, p: float, eps: float, vc: int) -> float:
+    k = improved_kfold_folds(n, p, eps, vc)
+    if k is None:
+        raise ValueError("improved k-fold term needs p = 1/k < 1/2, eps > 0, vc >= 1, n >= 2")
+    return _log_improved(n, p, k, eps, vc, IMPROVED_STANDALONE)
 
 
 def bound_large_upper(q: BoundQuery) -> BoundValue:
@@ -125,9 +172,7 @@ def bound_large_upper(q: BoundQuery) -> BoundValue:
     v_term = exp(-2np eps^2/25).
     """
     q.validate()
-    log_b = math.log(4.0) + _log_poly(q.n, q.p, q.vc) - q.n * q.eps**2 / 25.0
-    log_v = -2.0 * q.n * q.p * q.eps**2 / 25.0
-    return _assemble(log_b, log_v, "hoeffding", q.clamp)
+    return _assemble(_log_train(q, 4.0, 25.0), _log_hoeffding(q), "hoeffding", q.clamp)
 
 
 def bound_large_lower(q: BoundQuery) -> float:
@@ -139,15 +184,12 @@ def bound_large_lower(q: BoundQuery) -> float:
 def bound_abs_large(q: BoundQuery) -> BoundValue:
     """Two-sided version of the large-test bound; leading constant 5."""
     q.validate()
-    log_b = math.log(5.0) + _log_poly(q.n, q.p, q.vc) - q.n * q.eps**2 / 25.0
-    log_v = -2.0 * q.n * q.p * q.eps**2 / 25.0
-    return _assemble(log_b, log_v, "hoeffding", q.clamp)
+    return _assemble(_log_train(q, 5.0, 25.0), _log_hoeffding(q), "hoeffding", q.clamp)
 
 
 def _l1_large_terms(n: int, p: float, vc: int) -> tuple[float, float]:
     BoundQuery(n=n, p=p, eps=1.0, vc=vc).validate()
-    lead = math.log(2.0 * n * (1.0 - p) + 1.0) + 4.0
-    return 10.0 * math.sqrt(vc * lead / (n * (1.0 - p))), 5.0 * math.sqrt(2.0 / (n * p))
+    return 10.0 * math.sqrt(_small_test_inner(n, p, vc)), 5.0 * math.sqrt(2.0 / (n * p))
 
 
 def l1_bound_large(n: int, p: float, vc: int) -> float:
@@ -163,9 +205,13 @@ def bound_abs_small(q: BoundQuery) -> BoundValue:
     1/(16 eps) variant under strict_proposition.
     """
     q.validate()
-    log_b = math.log(5.0) + _log_poly(q.n, q.p, q.vc) - q.n * q.eps**2 / 64.0
-    log_v = _log_small_test(q.n, q.p, q.eps, q.vc, q.strict_proposition)
-    return _assemble(log_b, log_v, "small-test", q.clamp)
+    return _assemble(_log_train(q), _log_small_test(q), "small-test", q.clamp)
+
+
+def _l1_small_terms(n: int, p: float, vc: int) -> tuple[float, float]:
+    BoundQuery(n=n, p=p, eps=1.0, vc=vc).validate()
+    inner = _small_test_inner(n, p, vc)
+    return 16.0 * math.sqrt(inner) * (math.log(math.sqrt(1.0 / inner)) + 2.0), 0.0
 
 
 def l1_bound_small(n: int, p: float, vc: int) -> float:
@@ -176,10 +222,7 @@ def l1_bound_small(n: int, p: float, vc: int) -> float:
     (s > e^2) the raw value turns negative, i.e. vacuous, and is returned
     as computed.
     """
-    BoundQuery(n=n, p=p, eps=1.0, vc=vc).validate()
-    inner = vc * (math.log(2.0 * n * (1.0 - p) + 1.0) + 4.0) / (n * (1.0 - p))
-    s = math.sqrt(inner)
-    return 16.0 * s * (math.log(math.sqrt(1.0 / inner)) + 2.0)
+    return sum(_l1_small_terms(n, p, vc))
 
 
 def bound_sym_combined(q: BoundQuery) -> BoundValue:
@@ -190,12 +233,11 @@ def bound_sym_combined(q: BoundQuery) -> BoundValue:
     v_term = min(exp(-2np eps^2/25), small-test factor).
     """
     q.validate()
-    log_b = math.log(5.0) + _log_poly(q.n, q.p, q.vc) - q.n * q.eps**2 / 64.0
-    log_v_hoef = -2.0 * q.n * q.p * q.eps**2 / 25.0
-    log_v_small = _log_small_test(q.n, q.p, q.eps, q.vc, q.strict_proposition)
+    log_v_hoef = _log_hoeffding(q)
+    log_v_small = _log_small_test(q)
     if log_v_hoef <= log_v_small:
-        return _assemble(log_b, log_v_hoef, "hoeffding", q.clamp)
-    return _assemble(log_b, log_v_small, "small-test", q.clamp)
+        return _assemble(_log_train(q), log_v_hoef, "hoeffding", q.clamp)
+    return _assemble(_log_train(q), log_v_small, "small-test", q.clamp)
 
 
 def bound_kfold_improved(n: int, p: float, eps: float, vc: int) -> float:
@@ -205,15 +247,7 @@ def bound_kfold_improved(n: int, p: float, eps: float, vc: int) -> float:
     exponentially in n even when np is held fixed, provided eps^2 exceeds
     64 (sqrt(vc ln(2(2np+1))) + 2) ln2 / (np).
     """
-    if not (0.0 < p < 0.5):
-        raise ValueError("improved k-fold term needs p < 1/2")
-    k = fold_count(p)
-    if k is None:
-        raise ValueError("1/p must be an integer")
-    if not (eps > 0.0) or vc < 1 or n < 2:
-        raise ValueError("need eps > 0, vc >= 1, n >= 2")
-    denom = 64.0 * (math.sqrt(vc * math.log(2.0 * (2.0 * n * p + 1.0))) + 2.0)
-    return _exp(k * math.log(2.0) - n * eps**2 / denom)
+    return _exp(_log_improved_standalone(n, p, eps, vc))
 
 
 def bound_kfold_combined(q: BoundQuery) -> BoundValue:
@@ -228,15 +262,13 @@ def bound_kfold_combined(q: BoundQuery) -> BoundValue:
     k = fold_count(q.p)
     if k is None or k < 2:
         raise ValueError("k-fold bound needs p = 1/k for an integer k >= 2")
-    log_b = math.log(5.0) + _log_poly(q.n, q.p, q.vc) - q.n * q.eps**2 / 64.0
-    log_v1 = -2.0 * q.n * q.eps**2 / (25.0 * k)
-    log_v2 = _log_small_test(q.n, q.p, q.eps, q.vc, q.strict_proposition)
-    np_ = q.n * q.p
-    denom3 = 25.0 * 64.0 * (math.sqrt(q.vc * math.log(2.0 * (2.0 * np_ + 1.0))) + 2.0)
-    log_v3 = (k + 1) * math.log(2.0) - q.n * q.eps**2 / denom3
-    branches = [(log_v1, "hoeffding"), (log_v2, "small-test"), (log_v3, "improved")]
+    branches = [
+        (-2.0 * q.n * q.eps**2 / (25.0 * k), "hoeffding"),
+        (_log_small_test(q), "small-test"),
+        (_log_improved(q.n, q.p, k, q.eps, q.vc, IMPROVED_IN_COMBINED), "improved"),
+    ]
     log_v, branch = min(branches, key=lambda item: item[0])
-    return _assemble(log_b, log_v, branch, q.clamp)
+    return _assemble(_log_train(q), log_v, branch, q.clamp)
 
 
 def bound_holdout(q: BoundQuery) -> BoundValue:
@@ -252,8 +284,7 @@ def bound_holdout(q: BoundQuery) -> BoundValue:
         + 4.0 * q.vc * math.log(2.0 * q.n * (1.0 - q.p) + 1.0)
         - 2.0 * q.n * (1.0 - q.p) * q.eps**2 / 25.0
     )
-    log_v = math.log(2.0) - 2.0 * q.n * q.p * q.eps**2 / 25.0
-    return _assemble(log_b, log_v, "hoeffding", q.clamp)
+    return _assemble(log_b, math.log(2.0) + _log_hoeffding(q), "hoeffding", q.clamp)
 
 
 def _l1_chained_terms(n: int, p: float, vc: int, c: float) -> tuple[float, float]:
@@ -269,36 +300,65 @@ def l1_bound_chained(n: int, p: float, vc: int, c: float) -> float:
     return sum(_l1_chained_terms(n, p, vc, c))
 
 
+@dataclass(frozen=True)
+class Procedure:
+    """One row of REGISTRY. evaluator names the module function; it is
+    looked up at each call, so patching it reaches every caller. Bounds
+    that read eps take a BoundQuery; the others return (b_term, v_term)
+    from (n, p, vc[, c]). folds: admissible p are 1/k with k dividing n,
+    not every p with n*p an integer. prefix, applies: for the bounds
+    harness.attach_bound may attach, the branch tag and the plan test."""
+
+    evaluator: str
+    folds: bool = False
+    reads_eps: bool = True
+    reads_strict: bool = False
+    reads_c: bool = False
+    prefix: str | None = None
+    applies: Callable[..., bool] | None = None
+
+    def value(self, n, p, eps, vc, clamp=False, strict_proposition=False, c=1.0) -> BoundValue:
+        """The bound at one split, reading eps and c only where it uses them."""
+        fn = globals()[self.evaluator]
+        if self.reads_eps:
+            q = BoundQuery(n, p, float(eps), vc, clamp=clamp, strict_proposition=strict_proposition)
+            return fn(q)
+        b, v = fn(n, p, vc, c) if self.reads_c else fn(n, p, vc)
+        logs = [math.log(x) if x > 0.0 else -math.inf for x in (b, v)]
+        return BoundValue(b, v, min(1.0, b + v) if clamp else b + v, "l1", *logs)
+
+
+REGISTRY = {
+    "symmetric-large": Procedure("bound_abs_large"),
+    "symmetric-small": Procedure("bound_abs_small", reads_strict=True),
+    "symmetric-combined": Procedure("bound_sym_combined", reads_strict=True,
+                                    prefix="sym", applies=lambda plan: plan.symmetric()),
+    "kfold": Procedure("bound_kfold_combined", folds=True, reads_strict=True,
+                       prefix="kf", applies=lambda plan: plan.partition),
+    "holdout": Procedure("bound_holdout", prefix="hold", applies=lambda plan: plan.num_atoms == 1),
+    "l1-large": Procedure("_l1_large_terms", reads_eps=False),
+    "l1-small": Procedure("_l1_small_terms", reads_eps=False),
+    "l1-chained": Procedure("_l1_chained_terms", reads_eps=False, reads_c=True),
+}
+
+
+def procedure_entry(name: str, probability: bool = False) -> Procedure:
+    """REGISTRY[name]; with probability=True only a bound that reads eps."""
+    entry = REGISTRY.get(name)
+    if entry is None:
+        raise ValueError(f"unknown procedure {name!r}")
+    if probability and not entry.reads_eps:
+        names = ", ".join(k for k, e in REGISTRY.items() if e.reads_eps)
+        raise ValueError(
+            f"{name!r} bounds the expected deviation; "
+            f"a probability procedure is needed: {names}"
+        )
+    return entry
+
+
 def evaluate_procedure(q: BoundQuery) -> BoundValue:
-    """Dispatch a BoundQuery to the evaluator named by its procedure tag."""
-    table = {
-        "symmetric-large": bound_abs_large,
-        "symmetric-small": bound_abs_small,
-        "symmetric-combined": bound_sym_combined,
-        "kfold": bound_kfold_combined,
-        "holdout": bound_holdout,
-    }
-    if q.procedure not in table:
-        raise ValueError(f"unknown procedure {q.procedure!r}")
-    return table[q.procedure](q)
-
-
-def _l1_value(procedure: str, n: int, p: float, vc: int, c: float, clamp: bool) -> BoundValue:
-    def _log(x: float) -> float:
-        return math.log(x) if x > 0.0 else -math.inf
-
-    if procedure == "l1-large":
-        b, v = _l1_large_terms(n, p, vc)
-    elif procedure == "l1-small":
-        b, v = l1_bound_small(n, p, vc), 0.0
-    elif procedure == "l1-chained":
-        b, v = _l1_chained_terms(n, p, vc, c)
-    else:
-        raise ValueError(f"unknown procedure {procedure!r}")
-    total = b + v
-    if clamp:
-        total = min(1.0, total)
-    return BoundValue(b, v, total, "l1", _log(b), _log(v))
+    """Dispatch a BoundQuery to the probability bound named by its procedure tag."""
+    return globals()[procedure_entry(q.procedure, probability=True).evaluator](q)
 
 
 @dataclass(frozen=True)
@@ -325,24 +385,23 @@ class CurveResult:
     dropped: tuple[float, ...]
 
 
-def _default_p_grid(n: int, procedure: str) -> list[float]:
-    if procedure == "kfold":
+def _default_p_grid(n: int, entry: Procedure) -> list[float]:
+    if entry.folds:
         ks = [k for k in range(2, min(n, 100) + 1) if n % k == 0]
         if n > 100 and n not in ks:
             ks.append(n)
         return [1.0 / k for k in ks]
-    grid = [1.0 / n] + [j / 100.0 for j in range(1, 51)]
-    return grid
+    return [1.0 / n] + [j / 100.0 for j in range(1, 51)]
 
 
-def _snap_grid(n: int, procedure: str, p_grid) -> tuple[list[float], list, list]:
+def _snap_grid(n: int, entry: Procedure, p_grid) -> tuple[list[float], list, list]:
     """Snap p values down to admissible grid points; dedupe, keep order."""
     used: list[float] = []
     snapped: list[tuple[float, float]] = []
     dropped: list[float] = []
     seen = set()
     for p in p_grid:
-        if procedure == "kfold":
+        if entry.folds:
             k = round(1.0 / p) if p > 0 else 0
             if k < 2 or n % k != 0:
                 dropped.append(p)
@@ -378,38 +437,26 @@ def estimation_curve(
     where the active test-side branch changes. Grid points whose n*p is
     not an integer are snapped down and deduplicated; points that cannot
     be made admissible (kfold grids need 1/p to divide n) are dropped and
-    reported.
+    reported. Probability procedures need eps; the others ignore it.
     """
-    if procedure not in PROCEDURES + L1_PROCEDURES:
-        raise ValueError(f"unknown procedure {procedure!r}")
+    entry = procedure_entry(procedure)
+    if entry.reads_eps and eps is None:
+        raise ValueError(f"procedure {procedure!r} needs eps")
     if p_grid is None:
-        p_grid = _default_p_grid(n, procedure)
-    used, snapped, dropped = _snap_grid(n, procedure, p_grid)
+        p_grid = _default_p_grid(n, entry)
+    used, snapped, dropped = _snap_grid(n, entry, p_grid)
     if not used:
         raise ValueError("no admissible p values on the grid")
-    points = []
-    for p in used:
-        if procedure in L1_PROCEDURES:
-            value = _l1_value(procedure, n, p, vc, c, clamp)
-        else:
-            q = BoundQuery(
-                n=n, p=p, eps=float(eps), vc=vc, procedure=procedure,
-                clamp=clamp, strict_proposition=strict_proposition,
-            )
-            value = evaluate_procedure(q)
-        points.append(CurvePoint(p=p, value=value))
-    transitions = []
-    for a, b in zip(points, points[1:]):
-        if a.value.branch != b.value.branch:
-            transitions.append(
-                Transition(a.p, b.p, a.value.branch, b.value.branch)
-            )
-    return CurveResult(
-        points=tuple(points),
-        transitions=tuple(transitions),
-        snapped=tuple(snapped),
-        dropped=tuple(dropped),
+    points = [
+        CurvePoint(p=p, value=entry.value(n, p, eps, vc, clamp, strict_proposition, c))
+        for p in used
+    ]
+    transitions = tuple(
+        Transition(a.p, b.p, a.value.branch, b.value.branch)
+        for a, b in zip(points, points[1:])
+        if a.value.branch != b.value.branch
     )
+    return CurveResult(tuple(points), transitions, tuple(snapped), tuple(dropped))
 
 
 @dataclass(frozen=True)
@@ -497,21 +544,15 @@ def confidence_interval_search(
             )
     if eps_grid is None:
         eps_grid = default_ci_eps_grid()
-    p_used, _, _ = _snap_grid(n, procedure, sorted(p_grid))
+    entry = procedure_entry(procedure, probability=True)
+    p_used, _, _ = _snap_grid(n, entry, sorted(p_grid))
     if not p_used or not eps_grid:
         raise ValueError("grids must be nonempty and admissible")
     for eps in sorted(eps_grid):
-        best_p = None
-        best_total = math.inf
-        for p in p_used:
-            q = BoundQuery(
-                n=n, p=p, eps=eps, vc=vc, procedure=procedure,
-                clamp=clamp, strict_proposition=strict_proposition,
-            )
-            total = evaluate_procedure(q).total
-            if total < best_total:
-                best_total = total
-                best_p = p
+        # ties go to the smaller p, the earlier one on the ascending grid
+        best_total, best_p = min(
+            (entry.value(n, p, eps, vc, clamp, strict_proposition).total, p) for p in p_used
+        )
         if best_total <= alpha:
             return CiResult(
                 eps_star=eps, p_star=best_p, achieved_bound=best_total,
@@ -543,13 +584,7 @@ def log_ratio_v_kfold_over_v_sym(n: int, p: float, eps: float, vc: int) -> float
     exceeds 64 (sqrt(vc ln(2(2np+1))) + 2) ln2 / (np); the ratio then
     falls to zero.
     """
-    if not (0.0 < p < 0.5):
-        raise ValueError("improved k-fold term needs p < 1/2")
-    k = fold_count(p)
-    if k is None:
-        raise ValueError("1/p must be an integer")
-    denom = 64.0 * (math.sqrt(vc * math.log(2.0 * (2.0 * n * p + 1.0))) + 2.0)
-    return k * math.log(2.0) - n * eps**2 / denom + 2.0 * n * p * eps**2 / 25.0
+    return _log_improved_standalone(n, p, eps, vc) + 2.0 * n * p * eps**2 / 25.0
 
 
 def ratio_v_kfold_over_v_sym(n: int, p: float, eps: float, vc: int) -> float:

@@ -45,21 +45,21 @@ def _build_parser() -> _Parser:
         "gamma_proof_form": "--gamma-proof-form",
     }
 
-    def add_verb(verb, *names):
+    def add_verb(verb, *names, **defaults):
         sp = sub.add_parser(verb)
         for name in names:
             if name in switches:
                 sp.add_argument(switches[name], dest=name, action="store_true")
             else:
-                sp.add_argument(f"--{name}", type=option_types[name], default=None)
+                sp.add_argument(f"--{name}", type=option_types[name], default=defaults.get(name))
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--json", action="store_true")
 
     bound_switches = ("no_clamp", "strict_proposition")
-    add_verb("bound", "n", "p", "k", "vc", "eps", "procedure", *bound_switches)
-    add_verb("curve", "n", "vc", "eps", "procedure", "c", *bound_switches)
-    add_verb("split", "n", "vc", "c")
-    add_verb("ci", "n", "vc", "alpha", "procedure", *bound_switches)
+    add_verb("bound", "n", "p", "k", "vc", "eps", "procedure", *bound_switches, vc=1)
+    add_verb("curve", "n", "vc", "eps", "procedure", "c", *bound_switches, vc=1)
+    add_verb("split", "n", "vc", "c", vc=1)
+    add_verb("ci", "n", "vc", "alpha", "procedure", *bound_switches, vc=1)
     add_verb("simulate", "n", "k", "vc", "trials", "seed", "config")
     add_verb("compare", "n", "k", "vc", "trials", "seed", "config")
     add_verb("verify", "n", "p", "procedure", "trials", "seed", "gamma_proof_form")
@@ -72,6 +72,14 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def _emit_record(args, payload: dict, lines: list[str]) -> None:
+    """payload as JSON under --json, else the CSV lines."""
+    if args.json:
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    else:
+        _emit("\n".join(lines) + "\n", args.out)
 
 
 def _require(value, flag: str):
@@ -94,131 +102,103 @@ def _resolve_p(args) -> float:
 
 def _cmd_bound(args) -> int:
     n = _require(args.n, "--n")
-    if args.vc is None:
-        args.vc = 1
     eps = _require(args.eps, "--eps")
     procedure = args.procedure or "symmetric-combined"
     q = BoundQuery(
-        n=n,
-        p=_resolve_p(args),
-        eps=eps,
-        vc=args.vc,
-        procedure=procedure,
-        clamp=not args.no_clamp,
-        strict_proposition=args.strict_proposition,
+        n, _resolve_p(args), eps, args.vc, procedure=procedure,
+        clamp=not args.no_clamp, strict_proposition=args.strict_proposition,
     )
     value = bounds.evaluate_procedure(q)
-    if args.json:
-        payload = {
-            "procedure": procedure, "n": n, "p": q.p, "eps": eps, "vc": args.vc,
-            "b_term": value.b_term, "v_term": value.v_term, "total": value.total,
-            "branch": value.branch, "log_b_term": value.log_b_term,
-            "log_v_term": value.log_v_term, "clamped": not args.no_clamp,
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            "procedure,n,p,eps,vc,b_term,v_term,total,branch",
-            f"{procedure},{n},{q.p!r},{eps!r},{args.vc},"
-            f"{value.b_term!r},{value.v_term!r},{value.total!r},{value.branch}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "procedure": procedure, "n": n, "p": q.p, "eps": eps, "vc": args.vc,
+        "b_term": value.b_term, "v_term": value.v_term, "total": value.total,
+        "branch": value.branch, "log_b_term": value.log_b_term,
+        "log_v_term": value.log_v_term, "clamped": not args.no_clamp,
+    }
+    lines = [
+        "procedure,n,p,eps,vc,b_term,v_term,total,branch",
+        f"{procedure},{n},{q.p!r},{eps!r},{args.vc},"
+        f"{value.b_term!r},{value.v_term!r},{value.total!r},{value.branch}",
+    ]
+    _emit_record(args, payload, lines)
     return 0
 
 
 def _cmd_curve(args) -> int:
     n = _require(args.n, "--n")
-    if args.vc is None:
-        args.vc = 1
     procedure = args.procedure or "symmetric-combined"
-    if procedure not in bounds.L1_PROCEDURES and args.eps is None:
+    entry = bounds.procedure_entry(procedure)
+    if entry.reads_eps and args.eps is None:
         raise UsageError("--eps is required for probability-bound curves")
+    for flag, given, read in (
+        ("--eps", args.eps is not None, entry.reads_eps),
+        ("--strict-proposition", args.strict_proposition, entry.reads_strict),
+        ("--c", args.c is not None, entry.reads_c),
+    ):
+        if given and not read:
+            raise UsageError(f"procedure {procedure} does not read {flag}")
     curve = bounds.estimation_curve(
-        n=n,
-        eps=args.eps,
-        vc=args.vc,
-        procedure=procedure,
-        clamp=not args.no_clamp,
-        strict_proposition=args.strict_proposition,
-        c=args.c if args.c is not None else 1.0,
+        n, args.eps, args.vc, procedure, clamp=not args.no_clamp,
+        strict_proposition=args.strict_proposition, c=1.0 if args.c is None else args.c,
     )
-    if args.json:
-        payload = {
-            "procedure": procedure, "n": n, "eps": args.eps, "vc": args.vc,
-            "points": [
-                {
-                    "p": pt.p, "b_term": pt.value.b_term, "v_term": pt.value.v_term,
-                    "total": pt.value.total, "branch": pt.value.branch,
-                }
-                for pt in curve.points
-            ],
-            "transitions": [vars(t) for t in curve.transitions],
-            "snapped": [list(s) for s in curve.snapped],
-            "dropped": list(curve.dropped),
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = ["p,B,V,total,branch"]
-        for pt in curve.points:
-            lines.append(
-                f"{pt.p!r},{pt.value.b_term!r},{pt.value.v_term!r},"
-                f"{pt.value.total!r},{pt.value.branch}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "procedure": procedure, "n": n, "eps": args.eps, "vc": args.vc,
+        "points": [
+            {
+                "p": pt.p, "b_term": pt.value.b_term, "v_term": pt.value.v_term,
+                "total": pt.value.total, "branch": pt.value.branch,
+            }
+            for pt in curve.points
+        ],
+        "transitions": [vars(t) for t in curve.transitions],
+        "snapped": [list(s) for s in curve.snapped],
+        "dropped": list(curve.dropped),
+    }
+    lines = ["p,B,V,total,branch"] + [
+        f"{pt.p!r},{pt.value.b_term!r},{pt.value.v_term!r},{pt.value.total!r},{pt.value.branch}"
+        for pt in curve.points
+    ]
+    _emit_record(args, payload, lines)
     return 0
 
 
 def _cmd_split(args) -> int:
     n = _require(args.n, "--n")
-    if args.vc is None:
-        args.vc = 1
     mode = "chained" if args.c is not None else "computable"
     split = bounds.optimal_split_l1(n, args.vc, c=args.c, mode=mode)
-    if args.json:
-        payload = {
-            "mode": split.mode, "n": n, "vc": args.vc, "c": args.c,
-            "p_raw": split.p_raw, "p": split.p, "snap": split.snap,
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            "mode,n,vc,c,p_raw,p,snap",
-            f"{split.mode},{n},{args.vc},"
-            f"{'' if args.c is None else repr(args.c)},"
-            f"{split.p_raw!r},{split.p!r},{split.snap}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "mode": split.mode, "n": n, "vc": args.vc, "c": args.c,
+        "p_raw": split.p_raw, "p": split.p, "snap": split.snap,
+    }
+    lines = [
+        "mode,n,vc,c,p_raw,p,snap",
+        f"{split.mode},{n},{args.vc},"
+        f"{'' if args.c is None else repr(args.c)},"
+        f"{split.p_raw!r},{split.p!r},{split.snap}",
+    ]
+    _emit_record(args, payload, lines)
     return 0
 
 
 def _cmd_ci(args) -> int:
     n = _require(args.n, "--n")
-    if args.vc is None:
-        args.vc = 1
     alpha = _require(args.alpha, "--alpha")
     procedure = args.procedure or "symmetric-combined"
     result = bounds.confidence_interval_search(
-        n=n,
-        vc=args.vc,
-        alpha=alpha,
-        procedure=procedure,
-        clamp=not args.no_clamp,
+        n, args.vc, alpha, procedure, clamp=not args.no_clamp,
         strict_proposition=args.strict_proposition,
     )
-    if args.json:
-        payload = {
-            "procedure": result.procedure, "n": n, "vc": args.vc, "alpha": alpha,
-            "eps_star": result.eps_star, "p_star": result.p_star,
-            "achieved_bound": result.achieved_bound,
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            "procedure,n,vc,alpha,eps_star,p_star,achieved_bound",
-            f"{result.procedure},{n},{args.vc},{alpha!r},"
-            f"{result.eps_star!r},{result.p_star!r},{result.achieved_bound!r}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "procedure": result.procedure, "n": n, "vc": args.vc, "alpha": alpha,
+        "eps_star": result.eps_star, "p_star": result.p_star,
+        "achieved_bound": result.achieved_bound,
+    }
+    lines = [
+        "procedure,n,vc,alpha,eps_star,p_star,achieved_bound",
+        f"{result.procedure},{n},{args.vc},{alpha!r},"
+        f"{result.eps_star!r},{result.p_star!r},{result.achieved_bound!r}",
+    ]
+    _emit_record(args, payload, lines)
     return 0
 
 
@@ -282,28 +262,21 @@ def _cmd_compare(args) -> int:
     n = args.n if args.n is not None else (50 if args.config is None else None)
     k = args.k if args.k is not None else 5
     if args.config is None:
-        plans = _compare_default_plans(n, k)
-        saved_k = args.k
-        args.k = None  # plans already encode k; don't let _load_config overwrite
-        try:
-            cfg = _load_config(args, default_plans=plans)
-        finally:
-            args.k = saved_k
+        # the plans already encode k; keep _load_config from replacing them
+        cfg = _load_config(argparse.Namespace(**{**vars(args), "k": None}),
+                           default_plans=_compare_default_plans(n, k))
     else:
         cfg = _load_config(args, default_plans=[])
     report = harness.run_experiment(cfg)
     table = harness.comparison_table(report)
-    if args.json:
-        _emit(json.dumps(table, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = ["", "plan,p,eps,b_sym_over_b_hold,v_kfold_over_v_sym"]
-        for r in table["ratios"]:
-            v_ratio = "" if r["v_kfold_over_v_sym"] is None else repr(r["v_kfold_over_v_sym"])
-            lines.append(
-                f"{r['plan']},{r['p']!r},{r['eps']!r},"
-                f"{r['b_sym_over_b_hold']!r},{v_ratio}"
-            )
-        _emit(report.to_csv() + "\n".join(lines) + "\n", args.out)
+    lines = [report.to_csv(), "plan,p,eps,b_sym_over_b_hold,v_kfold_over_v_sym"]
+    for r in table["ratios"]:
+        v_ratio = "" if r["v_kfold_over_v_sym"] is None else repr(r["v_kfold_over_v_sym"])
+        lines.append(
+            f"{r['plan']},{r['p']!r},{r['eps']!r},"
+            f"{r['b_sym_over_b_hold']!r},{v_ratio}"
+        )
+    _emit_record(args, table, lines)
     return _exit_status(report)
 
 

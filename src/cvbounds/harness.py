@@ -420,28 +420,18 @@ class ExperimentReport:
 def attach_bound(
     plan: resampling.ResamplingPlan, n: int, eps: float, vc: int
 ) -> tuple[float, str]:
-    """Clamped theoretical tail for a plan: the tightest applicable form.
-
-    Plans that partition the indices into equally weighted test sets
-    (k-fold, leave-one-out) get the better of the symmetric and k-fold
-    combined bounds; other symmetric plans, leave-v-out with v >= 2
-    among them, get the symmetric bound; single-split plans get the
-    hold-out bound.
+    """Clamped theoretical tail for a plan: the tightest bound in
+    bounds.REGISTRY whose hypotheses the plan meets, the first listed
+    winning ties. Symmetric plans get the symmetric bound, partition plans
+    (k-fold, leave-one-out) the k-fold bound as well, and single-atom plans
+    the hold-out bound; (nan, "none") when nothing applies.
     """
-    if plan.kind == "hold-out":
-        value = bounds.bound_holdout(
-            bounds.BoundQuery(n=n, p=plan.p, eps=eps, vc=vc, clamp=True)
-        )
-        return value.total, f"hold:{value.branch}"
-    if not plan.symmetric():
-        return math.nan, "none"
-    q = bounds.BoundQuery(n=n, p=plan.p, eps=eps, vc=vc, clamp=True)
-    sym = bounds.bound_sym_combined(q)
-    best = (sym.total, f"sym:{sym.branch}")
-    if plan.partition:
-        kf = bounds.bound_kfold_combined(q)
-        if kf.total < best[0]:
-            best = (kf.total, f"kf:{kf.branch}")
+    best = (math.nan, "none")
+    for entry in bounds.REGISTRY.values():
+        if entry.applies is not None and entry.applies(plan):
+            value = entry.value(n, plan.p, eps, vc, clamp=True)
+            if math.isnan(best[0]) or value.total < best[0]:
+                best = (value.total, f"{entry.prefix}:{value.branch}")
     return best
 
 
@@ -511,7 +501,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         lemma_counts.append(acc.lemma_violations)
         for j, eps in enumerate(eps_grid):
             phat = acc.tail_counts[j] / cfg.trials
-            slack = 3.0 * math.sqrt(phat * (1.0 - phat) / cfg.trials)
             total, branch = attach_bound(plan, cfg.n, eps, cfg.vc)
             rows.append(
                 ReportRow(
@@ -519,7 +508,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     p=plan.p,
                     eps=eps,
                     empirical_tail=float(phat),
-                    slack=slack,
+                    slack=bounds.sampling_slack(phat, cfg.trials),
                     bound_total=total,
                     bound_branch=branch,
                     lemma_violations=acc.lemma_violations,
@@ -565,8 +554,8 @@ def compare_procedures(cfg: ExperimentConfig) -> dict:
     plus the two bound ratios evaluated on the config eps grid.
 
     The training-term ratio is defined for any admissible (n, p); the
-    test-term ratio needs p = 1/k with k >= 3 (the improved tail term
-    requires p < 1/2) and is null elsewhere.
+    test-term ratio is null where the improved k-fold term is undefined
+    (bounds.improved_kfold_folds; p = 1/k with k >= 3).
     """
     return comparison_table(run_experiment(cfg))
 
@@ -579,8 +568,7 @@ def comparison_table(report: ExperimentReport) -> dict:
         for eps in cfg.eps_grid:
             b_ratio = bounds.ratio_b_sym_over_b_hold(cfg.n, plan.p, eps, cfg.vc)
             v_ratio = None
-            k = bounds.fold_count(plan.p)
-            if k is not None and k >= 3:
+            if bounds.improved_kfold_folds(cfg.n, plan.p, eps, cfg.vc) is not None:
                 v_ratio = bounds.ratio_v_kfold_over_v_sym(cfg.n, plan.p, eps, cfg.vc)
             ratios.append(
                 {

@@ -5,7 +5,7 @@ The closed forms here are the raw material the procedure bounds are
 assembled from. Verifiers estimate the left side of each inequality by
 Monte Carlo or quadrature and report, per grid point, the empirical
 value, the bound, the sampling slack, and whether the inequality held.
-The slack convention everywhere is 3*sqrt(phat(1-phat)/m).
+The slack everywhere is bounds.sampling_slack, 3*sqrt(phat(1-phat)/m).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import bounds
-from .bounds import _exp
+from .bounds import _exp, sampling_slack
 
 # Coefficient of sigma in the gamma closed form. The two variants are
 # algebraically identical ((2pi)^(1/4) 2^(3/4) = 2 pi^(1/4)); both are
@@ -28,10 +28,6 @@ KAPPA_PROOF = (
 )
 
 LAPLACE_CONSTANT = math.sqrt(2.0) * math.exp(1.0 / 6.0)
-
-
-def _slack(phat: float, m: int) -> float:
-    return 3.0 * math.sqrt(phat * (1.0 - phat) / m)
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def reverse_markov_check(sample, eps: float, grid_points: int = 1024):
     grid = np.linspace(0.0, 1.0, grid_points)
     below = np.searchsorted(sorted_xs, -grid, side="right") / m
     rhs = float(np.trapezoid(below, grid)) / eps
-    holds = lhs <= rhs + _slack(lhs, m)
+    holds = lhs <= rhs + sampling_slack(lhs, m)
     return lhs, rhs, holds
 
 
@@ -264,7 +260,8 @@ def verify_hoeffding(
     grid = []
     for j, eps in enumerate(eps_grid):
         phat = exceed[j] / reps
-        grid.append(_entry(eps, phat, hoeffding_tail([(0.0, 1.0)], eps, n), _slack(phat, reps)))
+        bound = hoeffding_tail([(0.0, 1.0)], eps, n)
+        grid.append(_entry(eps, phat, bound, sampling_slack(phat, reps)))
     return _report("hoeffding", {"n": n, "reps": reps, "seed": seed}, grid)
 
 
@@ -320,7 +317,7 @@ def verify_vc(
     grid = []
     for eps in eps_grid:
         phat = float(np.count_nonzero(sups >= eps)) / reps
-        grid.append(_entry(eps, phat, vc_tail(n, 1, eps), _slack(phat, reps)))
+        grid.append(_entry(eps, phat, vc_tail(n, 1, eps), sampling_slack(phat, reps)))
     params = {
         "n": n, "vc": 1, "reps": reps, "seed": seed,
         "theta_star": theta_star, "eta": eta,
@@ -350,7 +347,7 @@ def verify_mcdiarmid(
     grid = []
     for j, eps in enumerate(eps_grid):
         phat = exceed[j] / reps
-        grid.append(_entry(eps, phat, bound_at[eps], _slack(phat, reps)))
+        grid.append(_entry(eps, phat, bound_at[eps], sampling_slack(phat, reps)))
     return _report("mcdiarmid", {"n": n, "reps": reps, "seed": seed}, grid)
 
 
@@ -366,7 +363,7 @@ def verify_reverse_markov(
     grid = []
     for eps in eps_grid:
         lhs, rhs, _ = reverse_markov_check(sample, eps)
-        grid.append(_entry(eps, lhs, rhs, _slack(lhs, reps)))
+        grid.append(_entry(eps, lhs, rhs, sampling_slack(lhs, reps)))
     return _report(
         "reverse-markov", {"reps": reps, "seed": seed, "scale": scale}, grid
     )

@@ -331,6 +331,88 @@ def test_evaluate_procedure_dispatch():
         evaluate_procedure(q(1000, 0.1, 0.3, 1, procedure="mystery"))
 
 
+PROBABILITY = ["symmetric-large", "symmetric-small", "symmetric-combined", "kfold", "holdout"]
+
+
+def test_evaluate_procedure_refuses_expected_deviation_bounds():
+    with pytest.raises(ValueError, match="probability procedure is needed") as err:
+        evaluate_procedure(q(1000, 0.1, 0.3, 1, procedure="l1-large"))
+    assert all(name in str(err.value) for name in PROBABILITY)
+    with pytest.raises(ValueError, match="unknown procedure"):
+        bounds.procedure_entry("mystery")
+
+
+def test_registry_values_match_direct_evaluators():
+    direct = {
+        "symmetric-large": bound_abs_large,
+        "symmetric-small": bound_abs_small,
+        "symmetric-combined": bound_sym_combined,
+        "kfold": bound_kfold_combined,
+        "holdout": bound_holdout,
+    }
+    assert [name for name, e in bounds.REGISTRY.items() if e.reads_eps] == list(direct)
+    for name, fn in direct.items():
+        for strict in (False, True):
+            qq = q(1000, 0.2, 0.3, 2, clamp=True, strict_proposition=strict)
+            entry = bounds.REGISTRY[name]
+            assert entry.value(1000, 0.2, 0.3, 2, True, strict) == fn(qq)
+            assert evaluate_procedure(q(1000, 0.2, 0.3, 2, procedure=name)) == fn(q(1000, 0.2, 0.3, 2))
+    l1 = {
+        "l1-large": l1_bound_large(1000, 0.2, 2),
+        "l1-small": l1_bound_small(1000, 0.2, 2),
+        "l1-chained": l1_bound_chained(1000, 0.2, 2, 3.0),
+    }
+    for name, total in l1.items():
+        value = bounds.REGISTRY[name].value(1000, 0.2, None, 2, c=3.0)
+        assert value.total == total and value.branch == "l1"
+
+
+def test_registry_reads_match_what_each_bound_uses():
+    for name in PROBABILITY:
+        entry = bounds.REGISTRY[name]
+        plain = entry.value(1000, 0.1, 0.3, 1)
+        strict = entry.value(1000, 0.1, 0.3, 1, strict_proposition=True)
+        assert (plain != strict) == entry.reads_strict, name
+        assert entry.value(1000, 0.1, 0.3, 1, c=7.0) == plain
+    chained = bounds.REGISTRY["l1-chained"]
+    assert chained.value(1000, 0.1, None, 1, c=1.0) != chained.value(1000, 0.1, None, 1, c=2.0)
+    for name in ("l1-large", "l1-small"):
+        entry = bounds.REGISTRY[name]
+        assert not entry.reads_c and not entry.reads_eps
+        assert entry.value(1000, 0.1, None, 1, c=1.0) == entry.value(1000, 0.1, 5.0, 1, c=2.0)
+
+
+@pytest.mark.parametrize("procedure", PROBABILITY)
+def test_curve_without_eps_is_a_value_error(procedure):
+    with pytest.raises(ValueError, match="needs eps"):
+        estimation_curve(100, None, 1, procedure)
+
+
+def test_improved_kfold_term_has_one_admissibility_check():
+    bad = [
+        (1000, 0.1, -0.5, 1), (1000, 0.1, 0.0, 1), (1000, 0.1, 0.5, 0),
+        (1, 0.1, 0.5, 1), (1000, 0.5, 0.5, 1), (1000, 0.3, 0.5, 1),
+        (1000, 0.1, -0.5, 0),
+    ]
+    for args in bad:
+        assert bounds.improved_kfold_folds(*args) is None, args
+        with pytest.raises(ValueError):
+            bound_kfold_improved(*args)
+        with pytest.raises(ValueError):
+            log_ratio_v_kfold_over_v_sym(*args)
+    assert bounds.improved_kfold_folds(1000, 0.1, 0.5, 1) == 10
+    assert bounds.improved_kfold_folds(999, 1.0 / 3.0, 0.5, 1) == 3
+
+
+def test_improved_exponent_constants_are_named_and_distinct():
+    # branch 3 of the k-fold bound is the standalone term at eps/5, doubled
+    n, p, k, eps = 3000, 1.0 / 3.0, 3, 1.0
+    log_in_combined = bounds._log_improved(n, p, k, eps, 1, bounds.IMPROVED_IN_COMBINED)
+    log_standalone = bounds._log_improved(n, p, k, eps / 5.0, 1, bounds.IMPROVED_STANDALONE)
+    assert log_in_combined == pytest.approx(log_standalone + math.log(2.0), rel=1e-12)
+    assert bounds.IMPROVED_STANDALONE != bounds.IMPROVED_IN_COMBINED
+
+
 def test_curve_values_match_pointwise_calls():
     curve = estimation_curve(1000, 0.3, 1, "symmetric-combined", p_grid=[0.1, 0.2, 0.5])
     assert [pt.p for pt in curve.points] == [0.1, 0.2, 0.5]

@@ -112,6 +112,42 @@ def test_curve_l1_chained_rejects_negative_c(capsys):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--procedure", "l1-small", "--eps", "0.3"), "--eps"),
+        (("--procedure", "l1-large", "--strict-proposition"), "--strict-proposition"),
+        (("--procedure", "l1-chained", "--c", "1", "--strict-proposition"), "--strict-proposition"),
+        (("--procedure", "holdout", "--eps", "0.3", "--strict-proposition"), "--strict-proposition"),
+        (("--procedure", "kfold", "--eps", "0.3", "--c", "2"), "--c"),
+        (("--eps", "0.3", "--c", "2"), "--c"),
+    ],
+)
+def test_curve_refuses_flags_its_procedure_does_not_read(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "curve", "--n", "100", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR 1:") and flag in err
+
+
+def test_curve_accepts_flags_its_procedure_reads(capsys):
+    for argv in (
+        ("--procedure", "kfold", "--eps", "0.3", "--strict-proposition"),
+        ("--procedure", "l1-chained", "--c", "2"),
+    ):
+        code, out, _ = run_cli(capsys, "curve", "--n", "100", *argv)
+        assert code == 0 and out.startswith("p,B,V,total,branch")
+
+
+@pytest.mark.parametrize("verb", ["bound", "ci"])
+def test_probability_verbs_name_the_valid_procedures(capsys, verb):
+    extra = ("--p", "0.2", "--eps", "0.3") if verb == "bound" else ("--alpha", "0.05")
+    code, out, err = run_cli(capsys, verb, "--n", "1000", "--procedure", "l1-large", *extra)
+    assert code == 1 and out == ""
+    assert "probability procedure is needed" in err
+    for name in ("symmetric-large", "symmetric-small", "symmetric-combined", "kfold", "holdout"):
+        assert name in err
+
+
 def test_split_csv_and_modes(capsys):
     code, out, _ = run_cli(capsys, "split", "--n", "5000")
     assert code == 0

@@ -288,6 +288,95 @@ def test_kfold_bound_only_for_partition_plans(monkeypatch):
     assert harness.attach_bound(kfold, 100, 0.3, 1) == (0.0, "kf:stub")
 
 
+@pytest.mark.parametrize(
+    "build, n, eps, total, tag",
+    [
+        # totals and tags as computed before the procedure table existed
+        (lambda: resampling.make_kfold(100, 5), 100, 0.3, 1.0, "sym:hoeffding"),
+        (lambda: resampling.make_kfold(100, 2), 100, 0.3, 1.0, "sym:hoeffding"),
+        (lambda: resampling.make_kfold(40, 4, shuffle_seed=3), 40, 0.6, 1.0, "sym:hoeffding"),
+        (lambda: resampling.make_kfold(20000, 10), 20000, 0.6, 9.664790937523516e-26, "sym:hoeffding"),
+        (lambda: resampling.make_kfold(20000, 2), 20000, 1.0, 2.4567337286587867e-101, "sym:hoeffding"),
+        (lambda: resampling.make_loo(50), 50, 0.3, 1.0, "sym:hoeffding"),
+        (lambda: resampling.make_leave_v_out(8, 2), 8, 0.3, 1.0, "sym:hoeffding"),
+        (
+            lambda: resampling.make_leave_v_out(20, 4, mode="montecarlo", m=30, seed=1),
+            20, 0.3, math.nan, "none",
+        ),
+        (lambda: resampling.make_holdout(100, 0.2, range(20)), 100, 0.3, 1.0, "hold:hoeffding"),
+        (
+            lambda: resampling.make_holdout(20000, 0.2, range(4000)),
+            20000, 0.3, 6.21368047508688e-13, "hold:hoeffding",
+        ),
+        (
+            lambda: resampling.make_custom(4, [((1, 1, 0, 0), 0.5), ((0, 0, 1, 1), 0.5)]),
+            4, 0.3, 1.0, "sym:hoeffding",
+        ),
+        (
+            lambda: resampling.make_custom(4, [((1, 1, 0, 0), 0.25), ((0, 0, 1, 1), 0.75)]),
+            4, 0.3, math.nan, "none",
+        ),
+    ],
+)
+def test_attach_bound_builder_plans_keep_their_tags(build, n, eps, total, tag):
+    got_total, got_tag = harness.attach_bound(build(), n, eps, 1)
+    assert got_tag == tag
+    if math.isnan(total):
+        assert math.isnan(got_total)
+    else:
+        assert got_total == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        resampling.make_custom(6, [((1, 1, 0, 1, 1, 1), 1.0)]),
+        resampling.make_leave_v_out(20, 4, mode="montecarlo", m=1, seed=1),
+    ],
+    ids=["custom-one-atom", "lvo-montecarlo-m1"],
+)
+def test_single_atom_plans_get_the_holdout_bound(plan):
+    total, tag = harness.attach_bound(plan, plan.n, 0.3, 1)
+    assert tag == "hold:hoeffding"
+    q = bounds.BoundQuery(n=plan.n, p=plan.p, eps=0.3, vc=1, clamp=True)
+    assert total == bounds.bound_holdout(q).total
+
+
+def test_attach_bound_ties_go_to_the_symmetric_bound(monkeypatch):
+    def same_as_sym(q):
+        value = bounds.bound_sym_combined(q)
+        return bounds.BoundValue(
+            value.b_term, value.v_term, value.total, "stub",
+            value.log_b_term, value.log_v_term,
+        )
+
+    monkeypatch.setattr(bounds, "bound_kfold_combined", same_as_sym)
+    plan = PlanSpec(kind="kfold", k=5).build(20000)
+    assert harness.attach_bound(plan, 20000, 0.6, 1)[1] == "sym:hoeffding"
+
+
+def test_report_slack_is_the_shared_formula():
+    cfg = small_config(trials=50, eps_grid=(0.05, 0.1))
+    for row in run_experiment(cfg).rows:
+        assert row.slack == bounds.sampling_slack(row.empirical_tail, 50)
+
+
+def test_importing_the_library_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import cvbounds
+
+    src = os.path.dirname(os.path.dirname(cvbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cvbounds, cvbounds.harness; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_attach_bound_picks_the_smaller_family():
     plan = PlanSpec(kind="kfold", k=5).build(100)
     total, branch = harness.attach_bound(plan, 100, 0.3, 1)
