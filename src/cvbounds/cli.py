@@ -100,12 +100,31 @@ def _resolve_p(args) -> float:
     raise UsageError("one of --p or --k is required")
 
 
+def _procedure(args, probability: bool = False) -> str:
+    """--procedure, symmetric-combined by default, after refusing --eps,
+    --strict-proposition and --c where its REGISTRY entry does not read
+    them and requiring --eps where it does."""
+    procedure = args.procedure or "symmetric-combined"
+    entry = bounds.procedure_entry(procedure, probability)
+    if entry.reads_eps and "eps" in vars(args) and args.eps is None:
+        raise UsageError("--eps is required for probability-bound curves")
+    for flag, dest, read in (
+        ("--eps", "eps", entry.reads_eps),
+        ("--strict-proposition", "strict_proposition", entry.reads_strict),
+        ("--c", "c", entry.reads_c),
+    ):
+        if vars(args).get(dest) not in (None, False) and not read:
+            raise UsageError(f"procedure {procedure} does not read {flag}")
+    return procedure
+
+
 def _cmd_bound(args) -> int:
     n = _require(args.n, "--n")
     eps = _require(args.eps, "--eps")
-    procedure = args.procedure or "symmetric-combined"
+    p = _resolve_p(args)
+    procedure = _procedure(args, probability=True)
     q = BoundQuery(
-        n, _resolve_p(args), eps, args.vc, procedure=procedure,
+        n, p, eps, args.vc, procedure=procedure,
         clamp=not args.no_clamp, strict_proposition=args.strict_proposition,
     )
     value = bounds.evaluate_procedure(q)
@@ -126,17 +145,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_curve(args) -> int:
     n = _require(args.n, "--n")
-    procedure = args.procedure or "symmetric-combined"
-    entry = bounds.procedure_entry(procedure)
-    if entry.reads_eps and args.eps is None:
-        raise UsageError("--eps is required for probability-bound curves")
-    for flag, given, read in (
-        ("--eps", args.eps is not None, entry.reads_eps),
-        ("--strict-proposition", args.strict_proposition, entry.reads_strict),
-        ("--c", args.c is not None, entry.reads_c),
-    ):
-        if given and not read:
-            raise UsageError(f"procedure {procedure} does not read {flag}")
+    procedure = _procedure(args)
     curve = bounds.estimation_curve(
         n, args.eps, args.vc, procedure, clamp=not args.no_clamp,
         strict_proposition=args.strict_proposition, c=1.0 if args.c is None else args.c,
@@ -183,7 +192,7 @@ def _cmd_split(args) -> int:
 def _cmd_ci(args) -> int:
     n = _require(args.n, "--n")
     alpha = _require(args.alpha, "--alpha")
-    procedure = args.procedure or "symmetric-combined"
+    procedure = _procedure(args, probability=True)
     result = bounds.confidence_interval_search(
         n, args.vc, alpha, procedure, clamp=not args.no_clamp,
         strict_proposition=args.strict_proposition,

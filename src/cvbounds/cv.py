@@ -5,10 +5,12 @@ the plan-weighted average of test-mask risks of predictors fitted on the
 corresponding training masks. The plan is a finite distribution, so this
 is an exact sum over atoms; nothing is sampled here.
 
-Threshold ERM on the atoms of an equal-test-size plan runs through one
+On the atoms of an equal-test-size plan, threshold ERM runs through one
 kernel, threshold_atom_counts, which reads a learners.SortedSamples batch
-(the dataset sorted once) instead of sorting each training set; other
-classes and plans fit atom by atom through learners.erm_fit.
+(the dataset sorted once) instead of sorting each training set, and
+interval ERM runs through learners._interval_erm on blocks of gathered
+training sets. learners.erm_fit fits atom by atom only the plans with
+unequal test sizes, and the full sample.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def _check_compatible(plan: ResamplingPlan, d: Dataset, loss: Loss) -> None:
     learners.check_zero_one_sample(d.x, d.y)
 
 
-# Cells, (test size + 1) per atom per sample, that the atom kernel handles
-# at once; SortedSamples.leave_out holds about 150 bytes of temporaries each.
+# Cells that an atom kernel handles at once: (test size + 1) per atom per
+# sample for SortedSamples.leave_out, (train size + 1) per atom for
+# learners._interval_erm; each holds about 100-150 bytes of temporaries.
 CELL_BUDGET = 500_000
 
 
@@ -83,6 +86,26 @@ def threshold_atom_counts(plan: ResamplingPlan, batch: learners.SortedSamples):
     return np.concatenate(cuts, axis=1), np.concatenate(counts, axis=1)
 
 
+def _interval_atom_counts(plan: ResamplingPlan, d: Dataset):
+    """Exact interval ERM on every atom of an equal-test-size plan: the
+    per-atom lows, highs and integer test-error counts, shape (num_atoms,).
+    Each block of at most CELL_BUDGET training cells goes through one
+    learners._interval_erm call on the gathered training sets."""
+    step = max(1, CELL_BUDGET // (plan.train_size + 1))
+    tei = plan.test_index_matrix
+    lows, highs, counts = [], [], []
+    for lo in range(0, plan.num_atoms, step):
+        train = np.nonzero(plan.train_matrix[lo : lo + step])[1].reshape(-1, plan.train_size)
+        low, high, _ = learners._interval_erm(d.x[train], d.y[train])
+        test = tei[lo : lo + step]
+        x, y = d.x[test], d.y[test]
+        wrong = ((x >= low[:, None]) & (x <= high[:, None])) != (y > 0.5)
+        lows.append(low)
+        highs.append(high)
+        counts.append(wrong.sum(axis=1))
+    return np.concatenate(lows), np.concatenate(highs), np.concatenate(counts)
+
+
 def _atom_fits_and_counts(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass, loss: Loss):
     """Per-atom ERM fits plus integer test-error counts, in atom order."""
     _check_compatible(plan, d, loss)
@@ -90,6 +113,11 @@ def _atom_fits_and_counts(plan: ResamplingPlan, d: Dataset, cls: HypothesisClass
         batch = learners.SortedSamples(d.x[None, :], d.y[None, :])
         cuts, counts = threshold_atom_counts(plan, batch)
         return [learners.ThresholdPredictor(float(t)) for t in cuts[0]], counts[0]
+    if plan.equal_test_sizes:
+        lows, highs, counts = _interval_atom_counts(plan, d)
+        fits = [learners.IntervalPredictor(a, b) for a, b in zip(lows.tolist(), highs.tolist())]
+        return fits, counts
+    # unequal test sizes: fit atom by atom
     fits = [learners.erm_fit(cls, v, d, loss) for v, _ in plan.atoms]
     test = ~plan.train_matrix
     counts = np.array(

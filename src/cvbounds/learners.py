@@ -5,6 +5,10 @@ indicators 1{x >= t} (threshold class, vc_dim 1) and interval indicators
 1{a <= x <= b} (interval class, vc_dim 2). Both admit exact minimization of
 the 0/1 empirical risk by scanning canonical cut positions, which keeps
 every downstream cross-validation quantity free of optimization error.
+The batched kernels (SortedSamples for thresholds, _interval_erm for
+intervals) serve the atoms of equal-test-size plans; erm_fit fits one
+subsample, which cv uses for the full sample and, as a fallback, for
+each atom of a plan with unequal test sizes.
 The synthetic noisy-threshold distribution has a closed-form risk, so the
 generalization error of a fitted threshold is known exactly.
 """
@@ -368,46 +372,47 @@ def _threshold_erm(x: np.ndarray, y: np.ndarray):
     return float(t[0]), int(err[0])
 
 
-def _interval_erm(x: np.ndarray, y: np.ndarray):
-    """Exact 0/1 ERM over intervals by a double scan over cut pairs.
+def _interval_erm(xs: np.ndarray, ys: np.ndarray):
+    """Exact 0/1 ERM over intervals for a batch of subsamples.
 
-    Ties resolve to the empty interval first, then to scan order over
-    (left cut, right cut), i.e. smallest canonical left endpoint and then
-    smallest right endpoint.
+    xs, ys have shape (B, m). Returns (lows, highs, error_counts) of shape
+    (B,). The interval from cut position i to cut position j > i predicts
+    1 on the sorted points i..j-1; its candidate ends are those of
+    _batch_threshold_erm, a left end must separate its neighbours as a
+    threshold does and a right end the other way round (the midpoint may
+    equal the point before it, not the one after). With E the threshold
+    error curve, the interval errs total1 - (E(j) - E(i)) times. A suffix
+    maximum of the packed keys E(j)·(m+1) + (m - j) over the realizable
+    right ends gives, for each left end, the largest gain and then the
+    smallest j; the first left end with the largest gain wins. Hence ties
+    go to the empty interval EMPTY_INTERVAL unless a pair is strictly
+    better, then to the smallest left end, then to the smallest right end.
     """
-    order = np.argsort(x, kind="stable")
-    xs = np.asarray(x, dtype=np.float64)[order]
-    ys = np.asarray(y).astype(np.int64)[order]
-    m = len(xs)
-    prefix1 = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(ys, out=prefix1[1:])
-    total1 = int(prefix1[m])
-    best_err = total1
-    best_ab = EMPTY_INTERVAL
-    for i in range(m):
-        if i == 0:
-            a = 0.0
-            if xs[0] < 0.0:
-                continue
-        else:
-            a = 0.5 * (xs[i - 1] + xs[i])
-            if not (xs[i - 1] < a <= xs[i]):
-                continue
-        for j in range(i + 1, m + 1):
-            if j == m:
-                b = 1.0
-                if xs[m - 1] > 1.0:
-                    continue
-            else:
-                b = 0.5 * (xs[j - 1] + xs[j])
-                if not (xs[j - 1] <= b < xs[j]):
-                    continue
-            ones_in = int(prefix1[j] - prefix1[i])
-            err = total1 - ones_in + (j - i) - ones_in
-            if err < best_err:
-                best_err = err
-                best_ab = (a, b)
-    return best_ab, int(best_err)
+    xs = np.asarray(xs, dtype=np.float64)
+    bsz, m = xs.shape
+    order = np.argsort(xs, axis=1, kind="stable")
+    xs_s = np.take_along_axis(xs, order, axis=1)
+    ys_s = np.take_along_axis(np.asarray(ys).astype(np.int64), order, axis=1)
+    errors, cuts, left_ok = _cut_positions(xs_s, ys_s)
+    right_ok = np.zeros((bsz, m + 1), dtype=bool)
+    right_ok[:, m] = xs_s[:, -1] <= 1.0
+    if m > 1:
+        mids = cuts[:, 1:m]
+        right_ok[:, 1:m] = (mids >= xs_s[:, :-1]) & (mids < xs_s[:, 1:])
+    keys = np.where(right_ok, errors * (m + 1) + (m - np.arange(m + 1)), -1)
+    # after[:, i]: the best key over right ends j > i
+    after = np.maximum.accumulate(keys[:, :0:-1], axis=1)[:, ::-1]
+    ok = left_ok[:, :m] & (after >= 0)
+    gains = np.where(ok, after // (m + 1) - errors[:, :m], -1)
+    i = np.argmax(gains, axis=1)
+    rows = np.arange(bsz)
+    gain = gains[rows, i]
+    j = m - after[rows, i] % (m + 1)
+    hit = gain > 0
+    lows = np.where(hit, cuts[rows, i], EMPTY_INTERVAL[0])
+    highs = np.where(hit, cuts[rows, j], EMPTY_INTERVAL[1])
+    total1 = ys_s.sum(axis=1)
+    return lows, highs, total1 - np.maximum(gain, 0)
 
 
 def check_zero_one_sample(x: np.ndarray, y: np.ndarray) -> None:
@@ -424,7 +429,9 @@ def erm_fit(cls: HypothesisClass, v: BinaryVector, d: Dataset, loss: Loss):
 
     Only the zero-one loss is supported; other losses are accepted by
     empirical_risk but rejected here. Deterministic under the documented
-    tie-breaking rules.
+    tie-breaking rules. The batch kernels run with one row here; cv calls
+    this for the full sample and for the atoms of plans with unequal test
+    sizes only.
     """
     if loss.kind != "zero-one":
         raise ValueError("exact risk minimization is supported for the zero-one loss only")
@@ -439,8 +446,8 @@ def erm_fit(cls: HypothesisClass, v: BinaryVector, d: Dataset, loss: Loss):
     if cls.kind == "threshold":
         t, _ = _threshold_erm(x, y)
         return ThresholdPredictor(t)
-    (a, b), _ = _interval_erm(x, y)
-    return IntervalPredictor(a, b)
+    lows, highs, _ = _interval_erm(x[None, :], y[None, :])
+    return IntervalPredictor(float(lows[0]), float(highs[0]))
 
 
 def true_risk(phi, dist: SyntheticDistribution, loss: Loss) -> float:

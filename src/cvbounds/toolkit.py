@@ -184,20 +184,26 @@ def chernoff_sum(alpha: float, beta2: float, V: int, eps: float) -> float:
     return _exp(log_chernoff_sum(alpha, beta2, V, eps))
 
 
-def log_kfold_pipeline(n: int, p: float, eps: float, vc: int, proof_form: bool = False) -> float:
-    """Chain the moment lemmas into the sharpened k-fold tail term.
-
-    Uses sigma^2 = 4/(np), shatter constant c = 2(2np+1)^vc, V = 1/p:
-    log of chernoff_sum(sqrt2 e^(1/6), e*gamma(sigma, c), V, eps).
-    """
+def _kfold_chain_inputs(n: int, p: float, vc: int) -> tuple[int, float, float]:
+    """V = 1/p, n·p and the shatter constant c = 2(2np+1)^vc of the k-fold
+    chain; p must be 1/V for an integer V and n·p a positive integer."""
     V = bounds.fold_count(p) if 0.0 < p < 1.0 else None
     if V is None:
         raise ValueError("need p = 1/V for an integer V")
     np_ = n * p
     if abs(np_ - round(np_)) > 1e-9 or round(np_) < 1:
         raise ValueError("n*p must be a positive integer")
+    return V, np_, 2.0 * (2.0 * np_ + 1.0) ** vc
+
+
+def log_kfold_pipeline(n: int, p: float, eps: float, vc: int, proof_form: bool = False) -> float:
+    """Chain the moment lemmas into the sharpened k-fold tail term.
+
+    Uses sigma^2 = 4/(np), shatter constant c = 2(2np+1)^vc, V = 1/p:
+    log of chernoff_sum(sqrt2 e^(1/6), e*gamma(sigma, c), V, eps).
+    """
+    V, np_, c = _kfold_chain_inputs(n, p, vc)
     sigma = 2.0 / math.sqrt(np_)
-    c = 2.0 * (2.0 * np_ + 1.0) ** vc
     gamma = subgaussian_moment_gamma(sigma, c, proof_form=proof_form)
     return log_chernoff_sum(LAPLACE_CONSTANT, math.e * gamma, V, eps)
 
@@ -206,12 +212,8 @@ def log_kfold_proof_form(n: int, p: float, eps: float, vc: int) -> float:
     """The same tail term written the way the derivation's last line prints it:
     (sqrt2 e^(1/6))^(1/p) exp(-(1/p) eps^2 / (2 sigma^2 (e^(1/2) sqrt(4 ln c)
     + pi^(1/4) 3^(1/3) 2)^2)) with sigma^2 = 4/(np), c = 2(2np+1)^vc."""
-    V = bounds.fold_count(p) if 0.0 < p < 1.0 else None
-    if V is None:
-        raise ValueError("need p = 1/V for an integer V")
-    np_ = n * p
+    V, np_, c = _kfold_chain_inputs(n, p, vc)
     sigma2 = 4.0 / np_
-    c = 2.0 * (2.0 * np_ + 1.0) ** vc
     root = math.sqrt(math.e) * math.sqrt(4.0 * math.log(c)) + (
         math.pi ** 0.25 * 3.0 ** (1.0 / 3.0) * 2.0
     )

@@ -13,6 +13,7 @@ import json
 import math
 import random
 
+import numpy as np
 from mpmath import mp, mpf
 
 mp.dps = 50
@@ -203,6 +204,46 @@ def brute_interval_erm(x, y):
             )
             best = min(best, errs)
     return best
+
+
+def loop_interval_erm(x, y):
+    """Exact 0/1 ERM over intervals by a double scan over cut pairs: the
+    tie-rule reference for learners._interval_erm. Returns ((low, high),
+    errors); ties resolve to the empty interval first, then to scan order
+    over (left cut, right cut)."""
+    order = np.argsort(x, kind="stable")
+    xs = np.asarray(x, dtype=np.float64)[order]
+    ys = np.asarray(y).astype(np.int64)[order]
+    m = len(xs)
+    prefix1 = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(ys, out=prefix1[1:])
+    total1 = int(prefix1[m])
+    best_err = total1
+    best_ab = (1.0, 0.0)
+    for i in range(m):
+        if i == 0:
+            a = 0.0
+            if xs[0] < 0.0:
+                continue
+        else:
+            a = 0.5 * (xs[i - 1] + xs[i])
+            if not (xs[i - 1] < a <= xs[i]):
+                continue
+        for j in range(i + 1, m + 1):
+            if j == m:
+                b = 1.0
+                if xs[m - 1] > 1.0:
+                    continue
+            else:
+                b = 0.5 * (xs[j - 1] + xs[j])
+                if not (xs[j - 1] <= b < xs[j]):
+                    continue
+            ones_in = int(prefix1[j] - prefix1[i])
+            err = total1 - ones_in + (j - i) - ones_in
+            if err < best_err:
+                best_err = err
+                best_ab = (a, b)
+    return best_ab, int(best_err)
 
 
 def brute_cv(atoms, x, y):

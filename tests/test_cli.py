@@ -138,6 +138,27 @@ def test_curve_accepts_flags_its_procedure_reads(capsys):
         assert code == 0 and out.startswith("p,B,V,total,branch")
 
 
+@pytest.mark.parametrize("procedure", ["holdout", "symmetric-large"])
+@pytest.mark.parametrize("verb", ["bound", "ci"])
+def test_probability_verbs_refuse_strict_proposition_they_do_not_read(capsys, verb, procedure):
+    extra = ("--p", "0.2", "--eps", "0.3") if verb == "bound" else ("--alpha", "0.05")
+    argv = (verb, "--n", "1000", "--procedure", procedure, *extra)
+    code, out, err = run_cli(capsys, *argv, "--strict-proposition")
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR 1:") and "--strict-proposition" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("verb", ["bound", "ci"])
+def test_probability_verbs_accept_strict_proposition_where_read(capsys, verb):
+    extra = ("--p", "0.2", "--eps", "0.3") if verb == "bound" else ("--alpha", "0.05")
+    for procedure in ("symmetric-small", "symmetric-combined", "kfold"):
+        argv = (verb, "--n", "1000", "--procedure", procedure, *extra, "--strict-proposition")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("procedure,")
+
+
 @pytest.mark.parametrize("verb", ["bound", "ci"])
 def test_probability_verbs_name_the_valid_procedures(capsys, verb):
     extra = ("--p", "0.2", "--eps", "0.3") if verb == "bound" else ("--alpha", "0.05")

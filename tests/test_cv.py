@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cvbounds import cv, harness
+from cvbounds import cv, harness, learners
 from cvbounds.learners import ZERO_ONE, CLIPPED_ABSOLUTE, Dataset, HypothesisClass
 from cvbounds.learners import SyntheticDistribution
 from cvbounds.resampling import (
@@ -223,14 +223,7 @@ def test_montecarlo_lvo_converges_to_exhaustive():
     assert abs(r_mc - r_exh) <= 3.0 * sigma / math.sqrt(m) + 1e-12
 
 
-def test_interval_class_takes_generic_path():
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
-    x = rng.random(9)
-    y = (rng.random(9) < 0.5).astype(np.float64)
-    d = Dataset(x, y)
-    cls = HypothesisClass.interval()
-    plan = make_kfold(9, 3)
-    got = cv.cross_validate(plan, d, cls, ZERO_ONE)
+def _per_atom_cv(plan, d, cls):
     from cvbounds.learners import empirical_risk, erm_fit
     from cvbounds.resampling import test_vector as _complement
 
@@ -238,7 +231,49 @@ def test_interval_class_takes_generic_path():
     for v, prob in plan.atoms:
         phi = erm_fit(cls, v, d, ZERO_ONE)
         terms.append(prob * empirical_risk(phi, _complement(v), d, ZERO_ONE))
-    assert got == pytest.approx(math.fsum(terms), abs=1e-15)
+    return math.fsum(terms)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_interval_class_takes_batched_path(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
+    x = rng.random(9)
+    y = (rng.random(9) < 0.5).astype(np.float64)
+    d = Dataset(x, y)
+    cls = HypothesisClass.interval()
+    plan = make_kfold(9, 3)
+    want = _per_atom_cv(plan, d, cls)
+    fits = _count_calls(monkeypatch, learners, "erm_fit")
+    kernel = _count_calls(monkeypatch, learners, "_interval_erm")
+    got = cv.cross_validate(plan, d, cls, ZERO_ONE)
+    assert got == pytest.approx(want, abs=1e-15)
+    # one kernel call on all three training sets, no per-atom fit
+    assert fits == [] and [xs.shape for xs, _ in kernel] == [(3, 6)]
+
+
+def test_unequal_test_sizes_fit_interval_atoms_one_by_one(monkeypatch):
+    d = Dataset(np.array([0.1, 0.4, 0.6, 0.9]), np.array([0.0, 1.0, 1.0, 0.0]))
+    cls = HypothesisClass.interval()
+    plan = make_custom(
+        4,
+        [((0, 1, 1, 1), 0.25), ((0, 0, 1, 1), 0.5), ((1, 1, 0, 1), 0.25)],
+        allow_unequal_test_sizes=True,
+    )
+    want = _per_atom_cv(plan, d, cls)
+    fits = _count_calls(monkeypatch, learners, "erm_fit")
+    assert cv.cross_validate(plan, d, cls, ZERO_ONE) == pytest.approx(want, abs=1e-15)
+    assert len(fits) == plan.num_atoms
 
 
 def test_holdout_supports_no_exact_comparison():
@@ -280,4 +315,12 @@ def test_batched_path_never_builds_binary_vectors():
     d = SyntheticDistribution(theta_star=0.3, eta=0.1).sample(n, harness.trial_generator(5, 0))
     plan = make_loo(n)
     cv.cross_validate(plan, d, THRESH, ZERO_ONE)
+    assert "atoms" not in vars(plan)
+
+
+def test_batched_interval_path_never_builds_binary_vectors():
+    n = 60
+    d = SyntheticDistribution(theta_star=0.3, eta=0.1).sample(n, harness.trial_generator(5, 0))
+    plan = make_loo(n)
+    cv.cross_validate(plan, d, HypothesisClass.interval(), ZERO_ONE)
     assert "atoms" not in vars(plan)

@@ -203,6 +203,16 @@ def test_pipeline_matches_printed_form():
         log_kfold_pipeline(1001, 0.1, 0.5, 1)
 
 
+@pytest.mark.parametrize(
+    "n, p", [(1001, 0.1), (1000, 0.3), (5, 0.1), (1000, 0.0), (1000, 1.0)]
+)
+def test_both_kfold_chain_forms_refuse_the_same_arguments(n, p):
+    with pytest.raises(ValueError):
+        log_kfold_pipeline(n, p, 1.0, 1)
+    with pytest.raises(ValueError):
+        log_kfold_proof_form(n, p, 1.0, 1)
+
+
 def test_tail_spec_validation():
     TailSpec(c=2.0, sigma2=0.3)
     TailSpec(c=0.5, sigma2=0.3, form="generic")
