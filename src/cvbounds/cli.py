@@ -255,6 +255,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _compare_default_plans(n: int, k: int) -> list[dict]:
+    if n < 2:
+        raise UsageError("--n must be at least 2")
+    if k < 2:
+        raise UsageError("--k must be at least 2")
     if n % k != 0:
         raise UsageError(f"--k {k} must divide n = {n}")
     v = n // k

@@ -70,11 +70,21 @@ CELL_BUDGET = 500_000
 def threshold_atom_counts(plan: ResamplingPlan, batch: learners.SortedSamples):
     """Exact threshold ERM on every atom of an equal-test-size plan, for the
     c samples of a sorted batch. Returns the per-atom cuts and integer
-    test-error counts, both C-order arrays of shape (c, num_atoms). Atoms
-    run in blocks of at most CELL_BUDGET cells, so memory stays bounded
-    whatever the number of atoms."""
+    test-error counts, both C-order arrays of shape (c, num_atoms).
+
+    Plans with one test point per atom read batch.leave_one_out, which
+    fits every one-point training set at once, at each atom's sorted
+    position. Larger test sets go through batch.leave_out in blocks of at
+    most CELL_BUDGET cells, so memory stays bounded whatever the number
+    of atoms."""
     tei = plan.test_index_matrix
     c = batch.xs.shape[0]
+    if plan.test_size == 1:
+        test = tei[:, 0]
+        pos = np.ascontiguousarray(batch.rank_t[test].T)
+        cuts = np.take_along_axis(batch.leave_one_out()[0], pos, axis=1)
+        wrong = (batch.xs[:, test] >= cuts) != (batch.ys[:, test] > 0.5)
+        return cuts, wrong.astype(np.int64)
     step = max(1, CELL_BUDGET // (c * (plan.test_size + 1)))
     cuts, counts = [], []
     for lo in range(0, plan.num_atoms, step):

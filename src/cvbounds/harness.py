@@ -20,16 +20,24 @@ doubles (word >> 11)·2^-53 that Generator.random makes of their words
 (_trial_uniforms; run_trial uses the same sampler for one trial).
 trial_generator is the reference it is tested against bit for bit.
 
-run_experiment draws each chunk of trials as plain arrays, checks them
-once, and sorts them once into a learners.SortedSamples batch; the
-full-sample fits and the exact ERM of every atom of every plan all read
-that batch, at O(n log n + sum of test sizes) per trial.
+run_experiment draws each chunk of trials as plain arrays on the calling
+thread and checks them once. It splits the chunk into one contiguous
+slice of trials per CPU the process may use; the calling thread scores
+the first slice and a thread pool the others. Each slice is sorted once
+into a learners.SortedSamples batch, which the full-sample fits and the
+exact ERM of every atom of every plan all read, at O(n log n + sum of
+test sizes) per trial. Slices return integer tallies and deviations in
+trial order, merged in slice order, so the report has the same bytes
+whatever the number of CPUs or threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -444,7 +452,6 @@ class _PlanAccumulator:
         self.tail_counts = np.zeros(len(eps_grid), dtype=np.int64)
         self.abs_devs: list[float] = []
         self.lemma_violations = 0
-        self.check_lemma = plan.symmetric()
 
 
 def _batch_labels(dist: SyntheticDistribution, n: int, master_seed: int, t0: int, t1: int):
@@ -470,10 +477,10 @@ def _chunk_size(n: int, plans) -> int:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Aggregate cfg.trials deterministic trials into an ExperimentReport.
 
-    Trials run in chunks, each sorted once, through batched exact
-    threshold ERM over trials x atoms (cv.threshold_atom_counts). Per-atom
-    counts are exact integers, so chunk size and execution order cannot
-    affect the report.
+    Trials run in chunks, each split across CPUs and sorted once per
+    slice, through batched exact threshold ERM over trials x atoms
+    (cv.threshold_atom_counts). Per-atom counts are exact integers, so
+    chunk size, slicing and execution order cannot affect the report.
     """
     plans = cfg.built_plans()
     labels = [spec.label for spec in cfg.plans]
@@ -522,30 +529,77 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The threads that score all but the first slice of each chunk,
+    started on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="cvbounds")
+        return _POOL
+
+
+def _score_slice(cfg: ExperimentConfig, plans, xs: np.ndarray, ys: np.ndarray):
+    """Tail counts, |r_cv - r_tilde| in trial order and lemma violations of
+    each plan, for the samples xs, ys of consecutive trials."""
+    batch = learners.SortedSamples(xs, ys)
+    r_tilde = cfg.eta + (1.0 - 2.0 * cfg.eta) * np.abs(batch.full_cuts - cfg.theta_star)
+    out = []
+    for plan in plans:
+        # elementwise multiply + pairwise sum keeps the reduction order
+        # fixed regardless of BLAS threading; that order follows the
+        # memory layout, so the counts are read in C order
+        counts = np.ascontiguousarray(cv.threshold_atom_counts(plan, batch)[1])
+        r_cv = (counts / plan.test_size * plan.probs[None, :]).sum(axis=1)
+        dev = np.abs(r_cv - r_tilde)
+        tails = [int(np.count_nonzero(dev >= eps)) for eps in cfg.eps_grid]
+        violations = 0
+        if plan.symmetric():
+            violations = int(np.count_nonzero(~cv.lemma_holds(plan, counts, batch.full_errs)))
+        out.append((tails, dev.tolist(), violations))
+    return out
+
+
 def _run_chunks(cfg: ExperimentConfig, accs) -> None:
-    dist = cfg.dist
-    n = cfg.n
-    slope = 1.0 - 2.0 * cfg.eta
-    chunk = _chunk_size(n, [acc.plan for acc in accs])
+    plans = [acc.plan for acc in accs]
+    for plan in plans:
+        # compute the lazy plan properties here, before the slices read them
+        plan.symmetric()
+        _ = plan.test_index_matrix, plan.uniform
+    chunk = _chunk_size(cfg.n, plans)
     done = 0
     while done < cfg.trials:
         t1 = min(done + chunk, cfg.trials)
-        batch = learners.SortedSamples(*_batch_labels(dist, n, cfg.master_seed, done, t1))
-        r_tilde = cfg.eta + slope * np.abs(batch.full_cuts - cfg.theta_star)
-        for acc in accs:
-            plan = acc.plan
-            # elementwise multiply + pairwise sum keeps the reduction order
-            # fixed regardless of BLAS threading; that order follows the
-            # memory layout, so the counts are read in C order
-            counts = np.ascontiguousarray(cv.threshold_atom_counts(plan, batch)[1])
-            r_cv = (counts / plan.test_size * plan.probs[None, :]).sum(axis=1)
-            dev = np.abs(r_cv - r_tilde)
-            for j, eps in enumerate(cfg.eps_grid):
-                acc.tail_counts[j] += int(np.count_nonzero(dev >= eps))
-            acc.abs_devs.extend(dev.tolist())
-            if acc.check_lemma:
-                ok = cv.lemma_holds(plan, counts, batch.full_errs)
-                acc.lemma_violations += int(np.count_nonzero(~ok))
+        xs, ys = _batch_labels(cfg.dist, cfg.n, cfg.master_seed, done, t1)
+        # split the chunk into one contiguous slice of trials per CPU
+        workers = min(_cpu_count(), t1 - done)
+        edges = [(t1 - done) * i // workers for i in range(workers + 1)]
+        parts = [(cfg, plans, xs[a:b], ys[a:b]) for a, b in zip(edges, edges[1:])]
+        # the calling thread scores the first slice itself
+        futures = [_pool().submit(_score_slice, *part) for part in parts[1:]]
+        try:
+            first = _score_slice(*parts[0])
+        finally:
+            rest = [f.result() for f in futures]
+        # integer tallies, and deviations appended in trial order: the
+        # report does not depend on the split
+        for scored in [first, *rest]:
+            for acc, (tails, devs, violations) in zip(accs, scored):
+                acc.tail_counts += tails
+                acc.abs_devs.extend(devs)
+                acc.lemma_violations += violations
         done = t1
 
 

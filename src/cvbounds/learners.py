@@ -267,8 +267,12 @@ class SortedSamples:
     answers each of the |T| + 1 stretches between test points in O(1) with
     first-argmin ties (Bender & Farach-Colton 2000). Gaps whose training
     neighbours straddle test points, and the two domain edges, are scored
-    from their actual training neighbours. Cuts, counts and tie-breaking
-    equal those of _batch_threshold_erm on each gathered training set.
+    from their actual training neighbours. With one test point there are
+    two stretches, a prefix and a suffix of the sorted sample, so
+    leave_one_out fits all n one-point training sets of each sample from
+    running prefix and suffix minima instead of the table. Cuts, counts
+    and tie-breaking equal those of _batch_threshold_erm on each gathered
+    training set.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
@@ -365,6 +369,56 @@ class SortedSamples:
         cuts = np.where(g == n, 1.0, np.where(j == 0, 0.0, mid))
         # C order, as the callers' float reductions over atoms assume
         return np.ascontiguousarray(cuts.T), np.ascontiguousarray((best // w).T)
+
+    def leave_one_out(self):
+        """ERM cuts and training-error counts, shape (c, n), of the training
+        sets that leave out one point: column p leaves out the point at
+        sorted position p. These are leave_out's candidates for one test
+        point, in O(n) per sample: the inner gaps before p from a prefix
+        minimum of the packed keys over positions 1..p-1, those after p
+        from a suffix minimum over p+2..n-1, the left domain edge, the gap
+        that straddles p and the right domain edge."""
+        c, n = self.xs.shape
+        w = n + 1
+        p = np.arange(n)
+        keys, errors, xs_s = self.table[0], self.errors, self.xs_s
+        # E is shifted by the test zero before p and by the test one after it
+        shift_before = (1 - self.ys_s) * w
+        shift_after = self.ys_s * w
+        best = np.full((c, n), np.int64(2 * n + 1) * w)
+        if n > 2:
+            # p >= 2 reads min keys[1 .. p-1]; p <= n-3 reads min keys[p+2 .. n-1]
+            best[:, 2:] = np.minimum.accumulate(keys[:, 1 : n - 1], axis=1) - shift_before[:, 2:]
+            after = np.minimum.accumulate(keys[:, n - 1 : 1 : -1], axis=1)[:, ::-1]
+            np.minimum(best[:, :-2], after - shift_after[:, :-2], out=best[:, :-2])
+            # the gap between p - 1 and p + 1, for 0 < p < n - 1
+            x_left, x_right = xs_s[:, :-2], xs_s[:, 2:]
+            mids = 0.5 * (x_left + x_right)
+            gap = errors[:, 2:n] * w + np.arange(2, n) - shift_after[:, 1:-1]
+            ok = (mids > x_left) & (mids <= x_right)
+            np.minimum(best[:, 1:-1], np.where(ok, gap, best[:, 1:-1]), out=best[:, 1:-1])
+        # the left domain edge sits before the first training point: 0, or
+        # 1 when p = 0
+        edge = errors[:, :1] * w - shift_before
+        edge[:, 0] = errors[:, 1] * w + 1 - shift_after[:, 0]
+        first_x = np.where(p == 0, xs_s[:, 1:2], xs_s[:, :1])
+        np.minimum(best, np.where(first_x >= 0.0, edge, best), out=best)
+        # the right domain edge predicts 0 everywhere, so the training ones
+        # err; its left neighbour is n - 1, or n - 2 when p = n - 1
+        right = (errors[:, n:] - self.ys_s) * w + n
+        last_x = np.where(p == n - 1, xs_s[:, -2:-1], xs_s[:, -1:])
+        np.minimum(best, np.where(last_x < 1.0, right, best), out=best)
+        # winning position g -> training gap j, as in leave_out
+        g = best % w
+        j = g - (p < g)
+        before = np.maximum(j - 1, 0)
+        left_g = before + (p <= before)
+        mid = 0.5 * (
+            np.take_along_axis(xs_s, left_g, axis=1)
+            + np.take_along_axis(xs_s, np.minimum(g, n - 1), axis=1)
+        )
+        cuts = np.where(g == n, 1.0, np.where(j == 0, 0.0, mid))
+        return cuts, best // w
 
 
 def _threshold_erm(x: np.ndarray, y: np.ndarray):

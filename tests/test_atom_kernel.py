@@ -4,7 +4,9 @@ learners.SortedSamples and cv.threshold_atom_counts are checked against
 per-atom learners._batch_threshold_erm on each gathered training set and
 against the loop oracle, on data built to hit ties, duplicate features,
 adjacent floats and the 0/1 domain edges, for every builder that makes
-equal-test-size plans, with atoms in one block and in many.
+equal-test-size plans, with atoms in one block and in many. The
+one-point kernel, SortedSamples.leave_one_out, is checked against
+leave_out with one test point as well.
 """
 
 import itertools
@@ -113,6 +115,83 @@ def test_kernel_matches_per_atom_erm_and_oracle(case):
     xs, ys, plans = case
     for plan in plans:
         check_plan(plan, xs, ys)
+
+
+def one_point_plans(draw, n):
+    """Every builder plan whose atoms leave out one point."""
+    plans = [
+        make_loo(n),
+        make_leave_v_out(n, 1),
+        make_leave_v_out(n, 1, mode="montecarlo", m=draw(st.integers(1, 8)), seed=3),
+        make_holdout(n, 1 / n, [draw(st.integers(0, n - 1))]),
+    ]
+    # repeated atoms allowed: some test points appear more than once
+    tests = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    atoms = [(tuple(int(i != t) for i in range(n)), 1 / len(tests)) for t in tests]
+    plans.append(make_custom(n, atoms))
+    return plans
+
+
+@st.composite
+def one_point_samples(draw):
+    n = draw(st.integers(2, 12))
+    c = draw(st.integers(1, 3))
+    label = st.sampled_from((0.0, 1.0))
+
+    def rows(values):
+        row = st.lists(values, min_size=n, max_size=n)
+        return np.array(draw(st.lists(row, min_size=c, max_size=c)))
+
+    xs = rows(st.sampled_from(POOL))
+    ys = np.full((c, n), draw(label)) if draw(st.booleans()) else rows(label)
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    return xs, ys, idx, one_point_plans(draw, n)
+
+
+@settings(max_examples=200)
+@given(one_point_samples())
+def test_leave_one_out_matches_leave_out_and_reference(case):
+    xs, ys, idx, plans = case
+    batch = learners.SortedSamples(xs, ys)
+    cuts, errs = batch.leave_one_out()
+    assert cuts.shape == errs.shape == xs.shape and errs.dtype.kind == "i"
+    pos = batch.rank_t[idx].T
+    got_cuts = np.take_along_axis(cuts, pos, axis=1)
+    got_errs = np.take_along_axis(errs, pos, axis=1)
+    want_cuts, want_errs = batch.leave_out(idx[:, None])
+    assert np.array_equal(got_cuts, want_cuts) and np.array_equal(got_errs, want_errs)
+    ref_cuts, ref_errs = reference(xs, ys, idx[:, None])
+    assert np.array_equal(got_cuts, ref_cuts) and np.array_equal(got_errs, ref_errs)
+    for plan in plans:
+        check_plan(plan, xs, ys)
+
+
+def test_one_point_plans_use_no_range_queries(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 9
+    xs = rng.choice(POOL, size=(4, n))
+    ys = rng.integers(0, 2, size=(4, n)).astype(np.float64)
+    plans = [
+        make_loo(n),
+        make_leave_v_out(n, 1),
+        make_leave_v_out(n, 1, mode="montecarlo", m=5, seed=2),
+        make_holdout(n, 1 / n, [4]),
+        make_custom(n, [(tuple(int(i != t) for i in range(n)), 0.25) for t in (3, 3, 0, 8)]),
+    ]
+    batch = learners.SortedSamples(xs, ys)
+    want = [batch.leave_out(plan.test_index_matrix) for plan in plans]
+
+    def no_range_min(*args):
+        raise AssertionError("_range_min was called for a one-point plan")
+
+    monkeypatch.setattr(learners.SortedSamples, "_range_min", no_range_min)
+    for plan, (want_cuts, _) in zip(plans, want):
+        cuts, counts = cv.threshold_atom_counts(plan, batch)
+        assert np.array_equal(cuts, want_cuts)
+        assert cuts.flags.c_contiguous and counts.flags.c_contiguous
+        tei = plan.test_index_matrix
+        wrong = (xs[:, tei] >= want_cuts[:, :, None]) != (ys[:, tei] > 0.5)
+        assert np.array_equal(counts, wrong.sum(axis=2))
 
 
 EDGE_CASES = {

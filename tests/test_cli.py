@@ -319,6 +319,22 @@ def test_compare_json_and_bad_k(capsys):
     assert "divide" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "10", "--k", "0"),
+        ("--n", "10", "--k", "1"),
+        ("--n", "10", "--k", "-2"),
+        ("--n", "0"),
+        ("--n", "1", "--k", "1"),
+    ],
+)
+def test_compare_refuses_small_n_and_k(capsys, argv):
+    code, out, err = run_cli(capsys, "compare", *argv, "--trials", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR 1:") and err.count("\n") == 1
+
+
 def test_verify_single_inequality_json(capsys):
     code, out, err = run_cli(capsys, "verify", "--procedure", "pareto")
     assert code == 0 and err == ""

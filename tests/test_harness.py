@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -527,7 +529,7 @@ def test_harness_builds_no_philox_per_trial(monkeypatch):
     assert run_trial(cfg, 3) == rec
 
 
-@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("chunk", [1, 2, 7, None])
 def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk):
     cfg = small_config(
         n=12,
@@ -539,14 +541,59 @@ def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk):
             PlanSpec(kind="holdout", p=0.25),
         ),
     )
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
     whole = run_experiment(cfg)
     if chunk is not None:
         monkeypatch.setattr(harness, "_chunk_size", lambda n, plans: chunk)
     else:
         assert harness._chunk_size(cfg.n, cfg.built_plans()) >= cfg.trials
-    report = run_experiment(cfg)
-    assert report.to_json() == whole.to_json()
-    assert report.to_csv() == whole.to_csv()
+    # chunks of 1 and 2 trials hold fewer trials than there are workers
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "_cpu_count", lambda w=workers: w)
+        report = run_experiment(cfg)
+        assert report.to_json() == whole.to_json()
+        assert report.to_csv() == whole.to_csv()
+
+
+def test_report_bytes_hold_with_more_workers_than_cpus_under_fast_switching(monkeypatch):
+    cfg = small_config(
+        n=15, trials=60, plans=(PlanSpec(kind="loo"), PlanSpec(kind="kfold", k=3))
+    )
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    want = run_experiment(cfg).to_json()
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(harness, "_chunk_size", lambda n, plans: 30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [run_experiment(cfg).to_json() for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+def test_chunks_are_drawn_on_the_calling_thread_and_split(monkeypatch):
+    draw, score = harness._batch_labels, harness._score_slice
+    drawers, scorers = [], []
+
+    def traced_draw(*args):
+        drawers.append(threading.get_ident())
+        return draw(*args)
+
+    def traced_score(cfg, plans, xs, ys):
+        scorers.append((threading.get_ident(), len(xs)))
+        return score(cfg, plans, xs, ys)
+
+    monkeypatch.setattr(harness, "_batch_labels", traced_draw)
+    monkeypatch.setattr(harness, "_score_slice", traced_score)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_chunk_size", lambda n, plans: 10)
+    run_experiment(small_config(trials=35))
+    me = threading.get_ident()
+    assert drawers == [me] * 4
+    # each chunk is split in two, the first half scored on the calling thread
+    assert sorted(size for _, size in scorers) == [2, 3, 5, 5, 5, 5, 5, 5]
+    assert {ident == me for ident, _ in scorers} == {True, False}
 
 
 def test_report_bytes_do_not_depend_on_count_layout(monkeypatch):
